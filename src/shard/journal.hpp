@@ -5,20 +5,29 @@
 // file:
 //
 //   kDelta     one ShardMessage, written BEFORE the message is applied
-//              to the book (write-ahead: peek ring → append → apply →
-//              commit ring);
+//              to the book.  Deltas are group-committed: the worker hands
+//              over every message it peeked from its ring (up to
+//              kMaxBatch), and append_deltas() writes all their frames
+//              with ONE write(2) (peek ring → append batch → apply batch
+//              → commit ring);
 //   kSnapshot  a full (BitmapBook image + RiskEngine::Snapshot) pair,
-//              written every snapshot_every deltas so replay cost stays
-//              bounded.
+//              written at a batch boundary once snapshot_every deltas
+//              have accumulated, so replay cost stays bounded.
 //
-// Every record carries an FNV-1a digest over its header fields and
-// payload.  Recovery scans the file, restores the LATEST digest-valid
-// snapshot, replays the digest-valid deltas after it in order, and
-// truncates whatever torn/truncated tail a mid-write crash left — a
-// partial record is EXPECTED after SIGKILL, never an error.  Combined
-// with the per-message seq (replayed messages with seq <= applied are
-// skipped at the transport), recovery is exactly-once: the rebuilt book
-// digest equals a never-crashed reference bit for bit.
+// Every record — each delta of a batch too — has its own 32-byte header
+// and a digest over its header fields and payload: FNV-1a taken over
+// 8-byte words (same prime, byte tail).  Recovery scans the file,
+// restores the LATEST digest-valid snapshot, replays the digest-valid
+// deltas after it in order, and truncates whatever torn/truncated tail a
+// mid-write crash left — a partial record (or a batch torn mid-write,
+// which keeps its whole-frame prefix) is EXPECTED after SIGKILL, never an
+// error.  Combined with the per-message seq (replayed messages with
+// seq <= applied are skipped at the worker), recovery is exactly-once:
+// the rebuilt book digest equals a never-crashed reference bit for bit.
+//
+// Frames carry the magic "RJN2".  A file whose first frame carries the
+// byte-wise-digest format's "RJNL" is refused (failed_precondition, file
+// untouched) instead of being read as one long torn tail and cut to 0.
 //
 // Process-crash durability only: records go through write(2) into the
 // page cache, which survives the worker dying by any signal.  Machine-
@@ -27,10 +36,12 @@
 // failure domain here.
 //
 // Fork discipline: open() and the scratch buffer allocation happen in
-// the PARENT before fork; the child inherits the fd and appends through
-// the preallocated buffer with raw write(2) calls — no malloc after
-// fork (the parent's other threads may hold the heap lock at fork time).
+// the PARENT before fork; the child inherits the fd and builds its delta
+// frames in the preallocated buffer — no malloc after fork (the parent's
+// other threads may hold the heap lock at fork time).
 #pragma once
+
+#include <sys/uio.h>
 
 #include <memory>
 #include <string>
@@ -47,6 +58,10 @@ using common::usize;
 
 class StateJournal {
  public:
+  /// Most delta frames one append_deltas() call takes.  open() sizes the
+  /// scratch buffer to hold at least this many frames.
+  static constexpr usize kMaxBatch = 256;
+
   struct Options {
     /// Upper bound on one snapshot's book-image bytes; sizes the scratch
     /// buffer (allocated once, at open).
@@ -95,8 +110,10 @@ class StateJournal {
   common::Expected<RecoverResult> recover(SnapshotSink on_snapshot,
                                           DeltaSink on_delta);
 
-  /// Appends one write-ahead delta.  Allocation-free.
-  common::Status append_delta(u64 seq, const ShardMessage& msg);
+  /// Appends msgs[0..count) (count <= kMaxBatch) as write-ahead deltas,
+  /// one frame per message keyed by its seq, all in ONE write(2).
+  /// Allocation-free.
+  common::Status append_deltas(const ShardMessage* const* msgs, usize count);
 
   /// Appends a full state snapshot.  `book_image` must be at most
   /// Options::max_book_image_bytes.
@@ -105,15 +122,18 @@ class StateJournal {
                                  const lob::RiskEngine::Snapshot& risk);
 
   /// Chaos counter: appends that the kJournalTruncate injection point
-  /// turned into torn half-writes (the journal poisons itself after one
-  /// — a real crashed writer never writes again either).
+  /// (drawn once per frame) turned into torn half-writes (the journal
+  /// poisons itself after one — a real crashed writer never writes
+  /// again either).
   u64 torn_appends() const { return torn_appends_; }
   u64 appended_bytes() const { return static_cast<u64>(write_offset_); }
 
  private:
-  common::Status append_record(u32 kind, u64 seq, const void* payload_a,
-                               usize bytes_a, const void* payload_b,
-                               usize bytes_b);
+  /// Writes `bytes` of whole frames, then advances the append offset.
+  common::Status write_frames(iovec* iov, int count, usize bytes);
+  /// Chaos: writes a frame prefix that ends mid-record and poisons the
+  /// journal.
+  common::Status tear(iovec* iov, int count);
 
   std::string path_;
   Options options_;

@@ -1,10 +1,10 @@
 // The one message schema that crosses a shard boundary (DESIGN.md §12).
 //
 // ShardMessage is a fixed-size trivially-copyable POD: it lives in a
-// common::MessagePool cell, and only its u32 pool INDEX travels through
-// the transport rings, so a message is written once by its producer and
-// read in place by its consumer — zero copies, zero allocations, valid
-// across address spaces.
+// common::ShmMessagePool cell inside the transport's shared segment, and
+// only its u32 pool INDEX travels through the transport rings, so a
+// message is written once by its producer and read in place by its
+// consumer — zero copies, zero allocations, valid across address spaces.
 //
 // Four kinds share the schema (a tagged union would buy 8 bytes and cost
 // a second pool): kTick flows router -> shard ingress, kJobResult flows

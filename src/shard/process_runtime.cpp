@@ -6,6 +6,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <thread>
@@ -160,19 +161,42 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
   control->state.store(static_cast<u32>(ShardState::kRunning),
                        std::memory_order_release);
 
+  // One group commit: peek what is queued, journal + apply it as a
+  // batch, then consume the ring slots and free the cells (DESIGN.md
+  // §14.2).  Returns the number of messages taken off the ring.
+  ShardMessage* batch[ShardWorker::kMaxBatch];
+  const auto serve_batch = [&]() -> usize {
+    const usize n = transport_->peek_ingress_n(shard, batch);
+    if (n == 0) return 0;
+    for (usize i = 0; i < n; ++i) {
+      // Chaos: die mid-guarded-segment-write, generation left ODD — the
+      // parent must repair before any reattach succeeds.  Drawn once per
+      // message, so a seeded schedule fires at the same message however
+      // the stream is batched.
+      if (fault::try_fire(fault::InjectPoint::kTornShmWrite)) {
+        transport_->segment_header()->generation.fetch_add(
+            1, std::memory_order_acq_rel);
+        ::_exit(70);
+      }
+    }
+    worker->apply_batch(batch, n);  // WAL inside: journal, then book
+    transport_->commit_ingress_n(shard, n);
+    for (usize i = 0; i < n; ++i) transport_->release(batch[i]);
+    return n;
+  };
+
   u64 stall_loops = 0;
   for (;;) {
     if (g_child_term != 0) {
       control->state.store(static_cast<u32>(ShardState::kDraining),
                            std::memory_order_release);
-      // Bounded final drain, then one last snapshot: a clean shutdown
-      // leaves nothing to replay.
-      for (usize i = 0; i < transport_->ingress_size_approx(shard) + 1; ++i) {
-        ShardMessage* msg = transport_->peek_ingress(shard);
-        if (msg == nullptr) break;
-        worker->apply(*msg);
-        transport_->commit_ingress(shard);
-        transport_->release(msg);
+      // Bounded final drain (what was queued at SIGTERM), then one last
+      // snapshot: a clean shutdown leaves nothing to replay.
+      usize budget = transport_->ingress_size_approx(shard);
+      while (budget > 0) {
+        const usize n = serve_batch();
+        if (n == 0) break;
+        budget -= std::min(n, budget);
       }
       (void)worker->snapshot_now();
       worker->publish(control, /*with_digest=*/true);
@@ -198,21 +222,13 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
       control->digest_ack.store(digest_req, std::memory_order_release);
     }
 
-    ShardMessage* msg = transport_->peek_ingress(shard);
-    if (msg != nullptr) {
-      // Chaos: die mid-guarded-segment-write, generation left ODD — the
-      // parent must repair before any reattach succeeds.
-      if (fault::try_fire(fault::InjectPoint::kTornShmWrite)) {
-        transport_->segment_header()->generation.fetch_add(
-            1, std::memory_order_acq_rel);
-        ::_exit(70);
-      }
-      worker->apply(*msg);  // WAL inside: journal, then book
-      transport_->commit_ingress(shard);
-      transport_->release(msg);
+    const u64 before = worker->deltas_applied();
+    if (serve_batch() > 0) {
+      // A batch can step over a multiple of digest_publish_every: publish
+      // when the count CROSSES one, not only when it lands on it.
+      const u64 every = options_.digest_publish_every;
       const bool digest_now =
-          options_.digest_publish_every != 0 &&
-          worker->deltas_applied() % options_.digest_publish_every == 0;
+          every != 0 && worker->deltas_applied() / every != before / every;
       worker->publish(control, digest_now);
     } else {
       (void)transport_->wait_ingress(

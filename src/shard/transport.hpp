@@ -158,18 +158,20 @@ class ShardTransport {
     return receive(ingress_[static_cast<usize>(shard)]);
   }
 
-  /// Write-ahead consumer pair: peek_ingress() exposes the front message
-  /// WITHOUT consuming it; commit_ingress() consumes it (the caller then
-  /// release()s the cell).  A worker that journals between the two can
-  /// crash at any instruction without losing the message (DESIGN.md
-  /// §14.3).
-  ShardMessage* peek_ingress(int shard) {
-    common::u32 index;
-    if (!ingress_[static_cast<usize>(shard)].try_peek(&index)) return nullptr;
-    return pool_.at(index);
+  /// Write-ahead consumer pair: peek_ingress_n() exposes up to N queued
+  /// messages (oldest first) WITHOUT consuming them; commit_ingress_n()
+  /// consumes the first n of them (the caller then release()s each
+  /// cell).  A worker that journals between the two can crash at any
+  /// instruction without losing a message (DESIGN.md §14.2).
+  template <usize N>
+  usize peek_ingress_n(int shard, ShardMessage* (&out)[N]) {
+    common::u32 index[N];
+    const usize n = ingress_[static_cast<usize>(shard)].try_peek_n(index, N);
+    for (usize i = 0; i < n; ++i) out[i] = pool_.at(index[i]);
+    return n;
   }
-  void commit_ingress(int shard) {
-    ingress_[static_cast<usize>(shard)].commit_pop();
+  void commit_ingress_n(int shard, usize n) {
+    ingress_[static_cast<usize>(shard)].commit_pop_n(n);
   }
 
   /// Blocks (doorbell futex, EINTR-retried) until `shard`'s ingress ring

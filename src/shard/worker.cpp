@@ -1,5 +1,6 @@
 #include "shard/worker.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "lob/flow.hpp"
@@ -70,25 +71,47 @@ common::Expected<StateJournal::RecoverResult> ShardWorker::recover() {
   return result;
 }
 
-bool ShardWorker::apply(const ShardMessage& msg) {
-  if (msg.kind != MessageKind::kFlow) return false;
-  // Exactly-once: a ring entry journaled before the crash replays from
-  // the journal, and its still-queued twin arrives here with a stale seq.
-  if (msg.seq <= applied_seq_) return false;
-
-  if (journaled_) {
-    // Write-ahead: the delta is durable before the book moves.  A failed
-    // append (torn injection) still applies — the worker is about to be
-    // killed, and recovery replays up to the last durable record only.
-    (void)journal_.append_delta(msg.seq, msg);
+usize ShardWorker::apply_batch(const ShardMessage* const* msgs,
+                               usize count) {
+  usize advanced = 0;
+  const ShardMessage* fresh[kMaxBatch];
+  while (count > 0) {
+    const usize chunk = std::min(count, kMaxBatch);
+    usize n = 0;
+    u64 last_seq = applied_seq_;
+    for (usize i = 0; i < chunk; ++i) {
+      // Exactly-once: a ring entry journaled before the crash replays
+      // from the journal, and its still-queued twin arrives with a stale
+      // seq.
+      if (msgs[i]->kind != MessageKind::kFlow || msgs[i]->seq <= last_seq) {
+        continue;
+      }
+      fresh[n++] = msgs[i];
+      last_seq = msgs[i]->seq;
+    }
+    if (n > 0) {
+      if (journaled_) {
+        // Write-ahead: every delta of the batch is durable before the
+        // book moves.  A failed append (torn injection) still applies —
+        // the worker is about to be killed, and recovery replays up to
+        // the last durable frame only.
+        (void)journal_.append_deltas(fresh, n);
+      }
+      for (usize i = 0; i < n; ++i) apply_flow(*fresh[i]);
+      applied_seq_ = last_seq;
+      deltas_applied_ += n;
+      deltas_since_snapshot_ += n;
+      // A batch boundary: everything journaled so far is applied, so the
+      // snapshot covers every delta ahead of it in the file.
+      if (journaled_ && deltas_since_snapshot_ >= config_.snapshot_every) {
+        (void)snapshot_now();
+      }
+    }
+    advanced += n;
+    msgs += chunk;
+    count -= chunk;
   }
-  apply_flow(msg);
-  applied_seq_ = msg.seq;
-  ++deltas_applied_;
-  if (journaled_ && ++deltas_since_snapshot_ >= config_.snapshot_every) {
-    (void)snapshot_now();
-  }
-  return true;
+  return advanced;
 }
 
 common::Status ShardWorker::snapshot_now() {

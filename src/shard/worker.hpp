@@ -2,27 +2,37 @@
 // (DESIGN.md §14.2).
 //
 // The worker owns a lob::BitmapBook and a lob::RiskEngine and applies
-// kFlow ShardMessages to them under the write-ahead discipline:
+// kFlow ShardMessages to them in BATCHES under the write-ahead
+// discipline (group commit):
 //
-//   peek ring → journal append_delta → apply to book/risk → commit ring
+//   peek every queued message (up to kMaxBatch)
+//     → journal all their deltas in one write(2) → apply them in order
+//     → commit the ring slots → release the cells
 //
-// plus a periodic full snapshot (book image + risk POD) so replay cost
-// stays bounded.  Exactly-once across crashes comes from the per-shard
-// monotonic message seq: apply() skips any message whose seq is not
-// greater than applied_seq(), so ring entries that were journaled before
-// the crash (but not yet popped) are recognized and dropped on replay.
+// plus a full snapshot (book image + risk POD) once snapshot_every
+// deltas have accumulated, so replay cost stays bounded.  Snapshots are
+// taken only at a batch boundary, after the whole batch is applied: a
+// snapshot written mid-batch would sit in the file AFTER deltas it does
+// not include, and replay would then skip those deltas for good once the
+// ring slots were committed.  apply(msg) is simply a batch of one.
+//
+// Exactly-once across crashes comes from the per-shard monotonic message
+// seq: a message whose seq is not greater than the last accepted one is
+// skipped, so ring entries that were journaled before the crash (but not
+// yet committed) are recognized and dropped on replay.
 //
 // Everything the message stream decides is a pure function of book
 // content — cancel/replace victims come from BitmapBook::front_order(),
 // fills update the risk engine from the taker's perspective, the mark
 // follows the post-event mid.  Two workers fed the same seq-stream are
 // therefore bit-identical (same digest, same position), whether one of
-// them was SIGKILLed and recovered in between or not.  That equivalence
-// is exactly what tests/shard/test_process_runtime.cpp asserts.
+// them was SIGKILLed and recovered in between or not, and however the
+// stream was cut into batches.  That equivalence is exactly what
+// tests/shard/test_process_runtime.cpp asserts.
 //
 // Fork discipline: create() (which allocates the book, scratch buffers,
 // and opens the journal) runs in the supervising PARENT before fork; the
-// child only ever calls recover()/apply()/publish(), which are
+// child only ever calls recover()/apply_batch()/publish(), which are
 // allocation-free.
 #pragma once
 
@@ -51,6 +61,9 @@ struct WorkerConfig {
 
 class ShardWorker {
  public:
+  /// Most messages one group commit journals (one write(2)).
+  static constexpr usize kMaxBatch = StateJournal::kMaxBatch;
+
   /// Allocates the book/risk/journal.  Parent-side, before fork.
   static common::Expected<std::unique_ptr<ShardWorker>> create(
       const WorkerConfig& config);
@@ -62,10 +75,17 @@ class ShardWorker {
   /// after it).  Call once, before the first apply().  Allocation-free.
   common::Expected<StateJournal::RecoverResult> recover();
 
-  /// Applies one message under the write-ahead discipline.  Returns true
-  /// when the message advanced state; false for duplicates (seq <=
-  /// applied_seq — the exactly-once skip) and non-flow kinds.
-  bool apply(const ShardMessage& msg);
+  /// Applies msgs[0..count) under the write-ahead discipline, group-
+  /// committing up to kMaxBatch deltas per journal write.  Returns how
+  /// many messages advanced state; duplicates (seq <= the last accepted
+  /// seq — the exactly-once skip) and non-flow kinds do not.
+  usize apply_batch(const ShardMessage* const* msgs, usize count);
+
+  /// A batch of one: true when the message advanced state.
+  bool apply(const ShardMessage& msg) {
+    const ShardMessage* one = &msg;
+    return apply_batch(&one, 1) == 1;
+  }
 
   /// Publishes progress words for the parent-side supervisor: applied
   /// seq, deltas, position — and, when `with_digest`, the book digest

@@ -85,6 +85,30 @@ TEST(ShmSpscRing, WrapsAroundManyTimes) {
   EXPECT_TRUE(ring.empty_approx());
 }
 
+TEST(ShmSpscRing, PeekNSeesTheQueuedPrefixUntilCommitted) {
+  auto seg = ShmSegment::create(ShmSpscRing<Tick>::required_bytes(8));
+  ASSERT_TRUE(seg.has_value());
+  auto ring = ShmSpscRing<Tick>::create(seg->data(), 8);
+  Tick out[8];
+  EXPECT_EQ(ring.try_peek_n(out, 8), 0u);
+  // Start at slot 5 so the peeked run wraps the capacity mask.
+  for (u32 i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push({0, i, 0.0}));
+  for (u32 i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_pop().has_value());
+  for (u32 i = 5; i < 11; ++i) ASSERT_TRUE(ring.try_push({0, i, 0.0}));
+
+  ASSERT_EQ(ring.try_peek_n(out, 4), 4u);  // capped by max
+  ASSERT_EQ(ring.try_peek_n(out, 8), 6u);  // capped by what is queued
+  for (u32 i = 0; i < 6; ++i) EXPECT_EQ(out[i].seq, 5 + i);
+  EXPECT_EQ(ring.size_approx(), 6u);  // peeking consumes nothing
+
+  ring.commit_pop_n(4);
+  EXPECT_EQ(ring.size_approx(), 2u);
+  ASSERT_EQ(ring.try_peek_n(out, 8), 2u);
+  EXPECT_EQ(out[0].seq, 9u);
+  EXPECT_EQ(out[1].seq, 10u);
+  EXPECT_TRUE(ring.try_push({0, 11, 0.0}));  // committed slots are free
+}
+
 TEST(ShmSpscRing, ConcurrentProducerConsumer) {
   constexpr u32 kCount = 200000;
   auto seg = ShmSegment::create(ShmSpscRing<u64>::required_bytes(256));

@@ -171,6 +171,33 @@ TEST_F(ProcessRuntimeTest, CleanStopDrainsSnapshotsAndExits) {
   (*again)->stop();
 }
 
+// A child consumes its ring in group commits of up to kMaxBatch
+// messages, so deltas_applied steps over multiples of
+// digest_publish_every: the digest is published when the count CROSSES
+// one.  Everything is queued before the fork, so the batches end at
+// 256, 512, 768 and 1000 — none a multiple of 300.
+TEST_F(ProcessRuntimeTest, DigestPublishFiresWhenABatchCrossesTheInterval) {
+  static_assert(ShardWorker::kMaxBatch == 256);
+  ProcessRuntimeOptions options = small_options(1);
+  options.digest_publish_every = 300;
+  auto runtime = ProcessShardRuntime::create(options);
+  ASSERT_TRUE(runtime.has_value()) << runtime.status().to_string();
+  auto& rt = **runtime;
+
+  MirrorFleet mirror(1, options.worker);
+  lob::FlowGenerator gen(8, options.worker.book);
+  drive(rt, mirror, gen, 1000);
+  ASSERT_TRUE(rt.start().is_ok());
+  ASSERT_TRUE(rt.quiesce(0, seconds(10)));
+
+  // No digest request: only the crossing publish can carry this value.
+  const u64 expected = mirror.worker(0).book_digest();
+  EXPECT_TRUE(wait_for(
+      [&] { return rt.control(0)->book_digest.load() == expected; },
+      seconds(5)));
+  rt.stop();
+}
+
 // The acceptance test: SIGKILL a shard mid-stream; after reap + respawn
 // the recovered process must report the same digest and position as the
 // never-killed mirror, and the surviving shard must be untouched.
