@@ -210,17 +210,14 @@ int main(int argc, char** argv) {
   std::printf("[arena]  heap new+delete:   %6.2f ns/op\n", heap_ns);
 
   const RoundMetrics batch = bench_round(core::WakeBackend::kFutexBatch);
-  const RoundMetrics word = bench_round(core::WakeBackend::kFutexWord);
   const RoundMetrics condvar = bench_round(core::WakeBackend::kCondvar);
   print_round("futex-batch", batch);
-  print_round("futex-word", word);
   print_round("condvar", condvar);
 
   const bool hook = obs::alloc_hook_installed();
   const long steady_allocs =
-      (batch.allocs < 0 || word.allocs < 0 || condvar.allocs < 0)
-          ? -1
-          : batch.allocs + word.allocs + condvar.allocs;
+      (batch.allocs < 0 || condvar.allocs < 0) ? -1
+                                               : batch.allocs + condvar.allocs;
   std::printf("\nalloc hook: %s   steady-state allocs (all backends): %ld\n",
               hook ? "installed" : "ABSENT", steady_allocs);
 
@@ -242,8 +239,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"arena_alloc_ns\": %.3f,\n", arena_ns);
     std::fprintf(f, "  \"heap_alloc_ns\": %.3f,\n", heap_ns);
     json_round(f, "batch", batch);
-    std::fprintf(f, ",\n");
-    json_round(f, "word", word);
     std::fprintf(f, ",\n");
     json_round(f, "condvar", condvar);
     std::fprintf(f, "\n}\n");

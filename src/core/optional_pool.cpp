@@ -50,8 +50,6 @@ const char* wake_backend_name(WakeBackend backend) {
       return "auto";
     case WakeBackend::kFutexBatch:
       return "futex-batch";
-    case WakeBackend::kFutexWord:
-      return rt::wait_backend_name();
     case WakeBackend::kCondvar:
       return "condvar";
   }
@@ -62,9 +60,12 @@ WakeBackend resolve_wake_backend(WakeBackend requested) {
   if (requested != WakeBackend::kAuto) return requested;
   if (const char* env = std::getenv("RTSEED_WAKE_BACKEND")) {
     if (std::strcmp(env, "condvar") == 0) return WakeBackend::kCondvar;
-    if (std::strcmp(env, "futex") == 0) return WakeBackend::kFutexWord;
-    if (std::strcmp(env, "futex-batch") == 0 || std::strcmp(env, "batch") == 0)
-      return WakeBackend::kFutexBatch;
+    if (std::strcmp(env, "futex-batch") != 0) {
+      common::global_logger().warn(
+          "RTSEED_WAKE_BACKEND=%s is not futex-batch|condvar; using "
+          "futex-batch",
+          env);
+    }
   }
   return WakeBackend::kFutexBatch;
 }
@@ -122,20 +123,15 @@ void OptionalPool::shutdown() {
       slot.cv.notify_one();
     }
   } else {
-    // Publish every shutdown command first; then wake — batched into one
-    // broadcast under kFutexBatch, per-slot under kFutexWord.
+    // Publish every shutdown command first; then one batched wake.
     bool any_parked = false;
     for (int k = 0; k < num_slots_; ++k) {
       auto& slot = slots_[static_cast<size_t>(k)];
       const std::uint32_t prev =
           slot.cmd.exchange(kCmdShutdown, std::memory_order_acq_rel);
-      if (prev != kCmdParked) continue;
-      any_parked = true;
-      if (backend_ == WakeBackend::kFutexWord) rt::wake_word(slot.cmd, 1);
+      if (prev == kCmdParked) any_parked = true;
     }
-    if (backend_ == WakeBackend::kFutexBatch && any_parked) {
-      batch_wake_workers();
-    }
+    if (any_parked) batch_wake_workers();
   }
   for (auto& thread : threads_) thread.join();
   threads_.clear();
@@ -158,8 +154,8 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
                          obs::EventKind::kSignalBegin});
   }
 
-  // Begin parallel optional parts.  kFutexWord/kCondvar: one wake per
-  // thread (paper §IV-C: never broadcast).  kFutexBatch: publish every
+  // Begin parallel optional parts.  kCondvar: one wake per thread
+  // (paper §IV-C: never broadcast).  kFutexBatch: publish every
   // command word first, then ONE batched wake — same no-spurious-wakeup
   // guarantee (only parked workers of THIS pool sleep on the generation
   // word), 1/k-th the syscalls.  This loop is the Δb window.
@@ -178,19 +174,9 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
       // are skipped when the worker is still spinning (cmd was kCmdIdle).
       const std::uint32_t prev =
           slot.cmd.exchange(kCmdReady, std::memory_order_release);
-      if (prev != kCmdParked) continue;
-      any_parked = true;
-      if (backend_ != WakeBackend::kFutexWord) continue;
-      // Chaos: a swallowed or late wake of a parked worker.  A worker
-      // that committed to FUTEX_WAIT just before our exchange landed
-      // sleeps until the recovery loop below re-wakes it.
-      if (fault::try_fire(fault::InjectPoint::kLostWake)) continue;
-      if (fault::try_fire(fault::InjectPoint::kDelayedWake)) {
-        rt::sleep_for(fault::injected_delay_ns());
-      }
-      rt::wake_word(slot.cmd, 1);
+      if (prev == kCmdParked) any_parked = true;
     }
-    if (backend_ == WakeBackend::kFutexBatch && any_parked &&
+    if (any_parked &&
         // Chaos: the single batched wake is swallowed/late — strands every
         // parked worker at once; the recovery loop re-broadcasts.
         !fault::try_fire(fault::InjectPoint::kLostWake)) {
@@ -252,9 +238,6 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
         if (stranded) slot.cv.notify_one();
       } else {
         stranded = slot.cmd.load(std::memory_order_acquire) == kCmdReady;
-        if (stranded && backend_ == WakeBackend::kFutexWord) {
-          rt::wake_word(slot.cmd, 1);
-        }
       }
       if (stranded) {
         any_stranded = true;
@@ -352,33 +335,24 @@ std::uint32_t OptionalPool::wait_for_command(Slot& slot) {
       cmd = slot.cmd.load(std::memory_order_acquire);
     }
     if (cmd == kCmdIdle) {
-      // Commit to sleeping.  If the signaller's exchange lands between
-      // this CAS and the FUTEX_WAIT, the wait returns immediately
-      // (word != kCmdParked under kFutexWord; the command re-check below
-      // under kFutexBatch).
+      // Commit to sleeping, then sleep on the SHARED generation word.
+      // Order is load-gen → re-check-cmd → wait: the signaller publishes
+      // commands before bumping the generation, so seeing the new
+      // generation implies seeing our command, and a bump between our
+      // generation load and the FUTEX_WAIT bounces off the kernel's
+      // revalidation.  No interleaving leaves us asleep with a command
+      // pending.
       std::uint32_t expected = kCmdIdle;
       if (slot.cmd.compare_exchange_strong(expected, kCmdParked,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-        if (backend_ == WakeBackend::kFutexBatch) {
-          // Sleep on the SHARED generation word.  Order is load-gen →
-          // re-check-cmd → wait: the signaller publishes commands before
-          // bumping the generation, so seeing the new generation implies
-          // seeing our command, and a bump between our generation load
-          // and the FUTEX_WAIT bounces off the kernel's revalidation.
-          // No interleaving leaves us asleep with a command pending.
-          for (;;) {
-            const std::uint32_t gen =
-                wake_gen_.load(std::memory_order_acquire);
-            cmd = slot.cmd.load(std::memory_order_acquire);
-            if (cmd != kCmdParked) break;
-            rt::wait_word(wake_gen_, gen);
-            // Woken (possibly for a round that signals other parts only)
-            // — re-check our command against the NEW generation.
-          }
-        } else {
-          rt::wait_word(slot.cmd, kCmdParked);
+        for (;;) {
+          const std::uint32_t gen = wake_gen_.load(std::memory_order_acquire);
           cmd = slot.cmd.load(std::memory_order_acquire);
+          if (cmd != kCmdParked) break;
+          rt::wait_word(wake_gen_, gen);
+          // Woken (possibly for a round that signals other parts only)
+          // — re-check our command against the NEW generation.
         }
       } else {
         cmd = expected;

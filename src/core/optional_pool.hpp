@@ -11,13 +11,16 @@
 //   * the last part to end wakes the caller for the next mandatory
 //     segment / wind-up part.
 //
-// Three interchangeable wake backends (A/B-measured by
+// Two interchangeable wake backends (A/B-measured by
 // bench/micro_wake_path and bench/micro_dispatch):
 //
-//   kFutexBatch — the default fast path.  Per-slot command words as in
-//     kFutexWord, but the fan-out wake is BATCHED through one shared
-//     eventcount word (wake_gen_): the signaller publishes all k command
-//     words first, bumps the generation once, and issues at most ONE
+//   kFutexBatch — the default fast path.  Each slot owns a command word
+//     the signaller flips with one release-exchange; workers run a
+//     bounded adaptive spin before committing to sleep, and no wake
+//     syscall is paid when every signalled worker is still spinning.  The
+//     fan-out wake is BATCHED through one shared eventcount word
+//     (wake_gen_): the signaller publishes all k command words first,
+//     bumps the generation once, and issues at most ONE
 //     FUTEX_WAKE(INT_MAX) — 1 syscall per fan-out instead of up to k.
 //     Workers load the generation, re-check their own command word, and
 //     only then sleep on the generation word, so the bump-after-publish
@@ -25,21 +28,14 @@
 //     impossible: a worker that reads the new generation must also see
 //     its command, and a worker that read the old generation is caught by
 //     the kernel's word revalidation at FUTEX_WAIT entry.  Recovery and
-//     shutdown reuse the same single batched wake.
-//
-//   kFutexWord — the per-slot protocol.  Signalling a part is one
-//     release-exchange plus one FUTEX_WAKE per parked worker (skipped
-//     entirely when the worker is still spinning between back-to-back
-//     rounds — workers run a bounded adaptive spin before committing to
-//     FUTEX_WAIT).  Kept as the A/B baseline for the batch protocol.
-//     In both futex backends round completion is a single atomic
-//     countdown whose last decrementer issues at most one wake of the
-//     mandatory thread; the timeout/forcing path waits on an absolute
-//     CLOCK_MONOTONIC deadline (FUTEX_WAIT_BITSET).  Forcing stragglers
-//     is lock-free: each slot owns an atomic force flag that the part's
-//     StopToken observes (StopToken::bind_force_flag), so the mandatory
-//     thread writes a stable flag instead of dereferencing a pointer into
-//     the worker's stack.
+//     shutdown reuse the same single batched wake.  Round completion is a
+//     single atomic countdown whose last decrementer issues at most one
+//     wake of the mandatory thread; the timeout/forcing path waits on an
+//     absolute CLOCK_MONOTONIC deadline (FUTEX_WAIT_BITSET).  Forcing
+//     stragglers is lock-free: each slot owns an atomic force flag that
+//     the part's StopToken observes (StopToken::bind_force_flag), so the
+//     mandatory thread writes a stable flag instead of dereferencing a
+//     pointer into the worker's stack.
 //
 //   kCondvar — the paper-verbatim per-slot mutex+condvar protocol, kept
 //     compiled as the A/B baseline, with its timed wait fixed to run on
@@ -74,18 +70,20 @@ namespace rtseed::core {
 
 /// How the mandatory thread hands work to (and collects completions from)
 /// the optional threads.
+/// Values are fixed (2 is unused) so printed backend ids, such as gtest
+/// parameter dumps, keep their meaning across releases.
 enum class WakeBackend {
-  kAuto,       ///< kFutexBatch unless overridden via RTSEED_WAKE_BACKEND env
-  kFutexBatch, ///< per-slot words + ONE batched wake per fan-out — default
-  kFutexWord,  ///< per-slot words + per-slot wakes — the batch A/B baseline
-  kCondvar,    ///< legacy mutex+condvar protocol — the paper baseline
+  kAuto = 0,       ///< kFutexBatch unless overridden via RTSEED_WAKE_BACKEND
+  kFutexBatch = 1, ///< per-slot words + ONE batched wake per fan-out — default
+  kCondvar = 3,    ///< legacy mutex+condvar protocol — the paper baseline
 };
 
 const char* wake_backend_name(WakeBackend backend);
 
 /// Resolves kAuto: the RTSEED_WAKE_BACKEND environment variable
-/// ("futex-batch"/"futex"/"condvar") wins, otherwise kFutexBatch.
-/// Explicit requests pass through untouched.
+/// ("futex-batch"/"condvar") wins, otherwise kFutexBatch.  Any other value
+/// logs one warning naming the accepted values and falls back to
+/// kFutexBatch.  Explicit requests pass through untouched.
 WakeBackend resolve_wake_backend(WakeBackend requested);
 
 class OptionalPool : public fault::SupervisedPool {
@@ -188,7 +186,7 @@ class OptionalPool : public fault::SupervisedPool {
   void set_caller_trace(obs::TraceBuffer* trace) { caller_trace_ = trace; }
 
  private:
-  // Command-word states (kFutexWord backend).  kParked means the worker
+  // Command-word states (kFutexBatch backend).  kParked means the worker
   // has committed to sleeping in FUTEX_WAIT — the signaller only pays the
   // wake syscall when it observes this value.
   static constexpr std::uint32_t kCmdIdle = 0;
@@ -256,7 +254,7 @@ class OptionalPool : public fault::SupervisedPool {
   /// counters.  Shared by both backends.
   void execute_part(Slot& slot, int part, const JobContext& job,
                     obs::TraceBuffer* trace);
-  /// Waits for the round countdown to hit zero (kFutexWord backend);
+  /// Waits for the round countdown to hit zero (kFutexBatch backend);
   /// abs_deadline < 0 waits forever.  False iff the deadline passed first.
   bool wait_completion_word(Nanos abs_deadline);
   /// Raises the force flags of parts [0, count) — lock-free.

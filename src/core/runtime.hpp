@@ -29,7 +29,7 @@ struct RuntimeOptions {
   rt::Topology topology = rt::Topology::native();
   AssignmentPolicy policy = AssignmentPolicy::kOneByOne;
   TerminationStrategy termination = TerminationStrategy::kSigjmp;
-  /// Mandatory↔optional handoff: futex word fast path (default) or the
+  /// Mandatory↔optional handoff: batched futex fast path (default) or the
   /// legacy condvar protocol (A/B baseline; see core::WakeBackend).
   WakeBackend wake_backend = WakeBackend::kAuto;
   sched::PRmwpOptions analysis;

@@ -63,9 +63,6 @@ long sys_futex(std::atomic<std::uint32_t>* addr, int op, std::uint32_t val,
 
 }  // namespace
 
-bool futex_backend() { return true; }
-const char* wait_backend_name() { return "futex"; }
-
 void wake_word(std::atomic<std::uint32_t>& word, int count) {
   count_wake();
   sys_futex(&word, FUTEX_WAKE | FUTEX_PRIVATE_FLAG,
@@ -138,9 +135,6 @@ bool wait_word_shared_until(std::atomic<std::uint32_t>& word,
 }
 
 #else  // portable std::atomic wait/notify fallback
-
-bool futex_backend() { return false; }
-const char* wait_backend_name() { return "atomic-wait"; }
 
 void wake_word(std::atomic<std::uint32_t>& word, int count) {
   count_wake();

@@ -38,10 +38,6 @@ inline void cpu_relax() {
 #endif
 }
 
-/// True when wait/wake are backed by raw Linux futexes (false under the
-/// RTSEED_PORTABLE_WAIT std::atomic fallback).
-bool futex_backend();
-
 /// Process-wide counters of the wake path's kernel traffic, kept with
 /// relaxed increments (one per actual syscall / notify, nothing on the
 /// skip-when-spinning fast path).  Benches and the syscall-budget tests
@@ -57,9 +53,6 @@ WakeStats wake_stats();
 /// Zeroes the counters — benches call this between A/B arms.  Racing
 /// increments may straddle the reset; callers quiesce the pool first.
 void reset_wake_stats();
-
-/// "futex" or "atomic-wait" — for bench/report labels.
-const char* wait_backend_name();
 
 /// Wakes up to `count` threads blocked in wait_word/wait_word_until on
 /// `word`.  A no-op when nobody is waiting (callers are expected to skip

@@ -31,16 +31,7 @@ void child_term_handler(int) { g_child_term = 1; }
 /// supervisor's full probe → SIGTERM → SIGKILL ladder to engage).
 constexpr u64 kStallLoops = 1u << 20;
 
-bool env_truthy(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return false;
-  const std::string v(value);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
 }  // namespace
-
-bool process_shards_enabled() { return env_truthy("RTSEED_SHARD_PROC"); }
 
 ProcessShardRuntime::ProcessShardRuntime(ProcessRuntimeOptions options)
     : options_(std::move(options)), slots_(static_cast<usize>(

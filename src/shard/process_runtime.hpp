@@ -29,8 +29,6 @@
 //             root cause.
 //
 // Environment knobs (when the corresponding option is unset):
-//   RTSEED_SHARD_PROC    "1"/"true" opts a deployment into process
-//                        shards (read by callers via process_shards_enabled())
 //   RTSEED_JOURNAL_DIR   directory for per-shard journal files
 #pragma once
 
@@ -92,10 +90,6 @@ struct ProcessRuntimeOptions {
   /// Start the supervisor thread in start() (tests drive scan_once()).
   bool start_supervisor = true;
 };
-
-/// True when RTSEED_SHARD_PROC is "1"/"true"/"yes" — the deployment-level
-/// opt-in for crash-isolated shard processes.
-bool process_shards_enabled();
 
 class ProcessShardRuntime : public ShardRouter,
                             public fault::SupervisedProcessGroup {

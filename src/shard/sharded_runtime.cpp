@@ -5,61 +5,18 @@
 
 namespace rtseed::shard {
 
-const char* shard_policy_name(ShardPolicy policy) {
-  switch (policy) {
-    case ShardPolicy::kLlc:
-      return "llc";
-    case ShardPolicy::kCompact:
-      return "compact";
-    case ShardPolicy::kSpread:
-      return "spread";
-  }
-  return "?";
-}
-
-bool parse_shard_policy(const std::string& text, ShardPolicy* out) {
-  if (text == "llc") {
-    *out = ShardPolicy::kLlc;
-  } else if (text == "compact") {
-    *out = ShardPolicy::kCompact;
-  } else if (text == "spread") {
-    *out = ShardPolicy::kSpread;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<std::vector<common::CoreId>> carve_shards(
-    const common::Topology& topology, int num_shards, ShardPolicy policy) {
+    const common::Topology& topology, int num_shards) {
   std::vector<std::vector<common::CoreId>> shards;
   const int cores = topology.num_cores();
   if (num_shards <= 0 || num_shards > cores) return shards;
   shards.assign(static_cast<usize>(num_shards), {});
 
-  // kCompact keeps raw core-index order; the cache-aware policies walk
-  // cores grouped by (NUMA node, LLC domain) so a contiguous cut — or a
-  // dealt hand — has a well-defined locality meaning.
-  std::vector<int> order;
-  if (policy == ShardPolicy::kCompact) {
-    order.resize(static_cast<usize>(cores));
-    for (int c = 0; c < cores; ++c) order[static_cast<usize>(c)] = c;
-  } else {
-    order = sched::topology_processor_order(&topology, cores);
-  }
-
-  if (policy == ShardPolicy::kSpread) {
-    for (int k = 0; k < cores; ++k) {
-      shards[static_cast<usize>(k % num_shards)].push_back(
-          order[static_cast<usize>(k)]);
-    }
-    return shards;
-  }
-
-  // Contiguous cuts, sizes differing by at most one (the first
-  // `cores % num_shards` shards take the extra core).  With kLlc and
-  // dividing shapes the cuts land exactly on domain boundaries because
-  // the order groups domains contiguously.
+  // Walk cores grouped by (NUMA node, LLC domain) and cut contiguously,
+  // sizes differing by at most one (the first `cores % num_shards` shards
+  // take the extra core).  With dividing shapes the cuts land exactly on
+  // domain boundaries because the order groups domains contiguously.
+  const auto order = sched::topology_processor_order(&topology, cores);
   const int base = cores / num_shards;
   const int extra = cores % num_shards;
   int next = 0;
@@ -96,24 +53,12 @@ common::Status ShardedRuntime::admit(core::TaskConfig config, u32 symbol) {
 
 common::Status ShardedRuntime::carve() {
   int shards = options_.num_shards;
-  ShardPolicy policy = options_.policy;
-  if (options_.from_env) {
-    if (shards <= 0) {
-      if (const char* env = std::getenv("RTSEED_SHARDS")) {
-        shards = std::atoi(env);
-        if (shards <= 0) {
-          return common::invalid_argument(
-              std::string("RTSEED_SHARDS must be a positive integer, got "
-                          "\"") +
-              env + "\"");
-        }
-      }
-    }
-    if (const char* env = std::getenv("RTSEED_SHARD_POLICY")) {
-      if (!parse_shard_policy(env, &policy)) {
+  if (options_.from_env && shards <= 0) {
+    if (const char* env = std::getenv("RTSEED_SHARDS")) {
+      shards = std::atoi(env);
+      if (shards <= 0) {
         return common::invalid_argument(
-            std::string("RTSEED_SHARD_POLICY must be llc|compact|spread, "
-                        "got \"") +
+            std::string("RTSEED_SHARDS must be a positive integer, got \"") +
             env + "\"");
       }
     }
@@ -122,7 +67,7 @@ common::Status ShardedRuntime::carve() {
   if (shards <= 0) shards = std::max(1, topology.num_llc_domains());
   shards = std::min(shards, topology.num_cores());
 
-  shard_cores_ = carve_shards(topology, shards, policy);
+  shard_cores_ = carve_shards(topology, shards);
   if (shard_cores_.empty()) {
     return common::internal_error("shard carving produced no shards");
   }

@@ -12,9 +12,8 @@
 // on one shard (home by hash, spill by least-load), and market ticks
 // follow the same placement through ShardTransport.
 //
-// Environment knobs (read when the corresponding option is unset):
+// Environment knob (read when the option is unset):
 //   RTSEED_SHARDS        number of shards (default: one per LLC domain)
-//   RTSEED_SHARD_POLICY  llc | compact | spread  (core carving rule)
 #pragma once
 
 #include <memory>
@@ -30,28 +29,13 @@
 
 namespace rtseed::shard {
 
-/// How carve_shards distributes cores over shard groups.
-enum class ShardPolicy {
-  /// Whole LLC domains per shard where the shapes divide; otherwise
-  /// contiguous cuts of the (node, LLC)-ordered core list.  The default:
-  /// a shard's working set never straddles a cache boundary.
-  kLlc,
-  /// Contiguous cuts of the raw core index order.
-  kCompact,
-  /// Round-robin deal of the (node, LLC)-ordered list: shards interleave
-  /// across domains (the A/B control for measuring what kLlc buys).
-  kSpread,
-};
-
-const char* shard_policy_name(ShardPolicy policy);
-
-/// Parses "llc" / "compact" / "spread"; false on anything else.
-bool parse_shard_policy(const std::string& text, ShardPolicy* out);
-
 /// Splits `topology` into `num_shards` non-empty core groups (sizes
-/// differ by at most one).  Requires 1 <= num_shards <= num_cores.
+/// differ by at most one) by contiguous cuts of the (node, LLC)-ordered
+/// core list: whole LLC domains per shard where the shapes divide, so a
+/// shard's working set never straddles a cache boundary.  Requires
+/// 1 <= num_shards <= num_cores.
 std::vector<std::vector<common::CoreId>> carve_shards(
-    const common::Topology& topology, int num_shards, ShardPolicy policy);
+    const common::Topology& topology, int num_shards);
 
 struct ShardedRuntimeOptions {
   /// Template for every shard's Runtime.  `base.topology` is the WHOLE
@@ -60,9 +44,7 @@ struct ShardedRuntimeOptions {
   core::RuntimeOptions base;
   /// 0 = RTSEED_SHARDS env, else one shard per LLC domain.
   int num_shards = 0;
-  /// Carving rule; RTSEED_SHARD_POLICY env overrides when `from_env`.
-  ShardPolicy policy = ShardPolicy::kLlc;
-  /// When true (default), unset knobs fall back to the env variables.
+  /// When true (default), an unset num_shards falls back to the env.
   bool from_env = true;
   TransportOptions transport;
 };

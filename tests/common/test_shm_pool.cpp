@@ -1,4 +1,6 @@
-#include "common/message_pool.hpp"
+// Single-process tests of the shared-memory message pool's free-list
+// algorithm; the cross-process path is covered through ShardTransport.
+#include "common/shm_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,61 +19,79 @@ struct Msg {
   double payload[6] = {};
 };
 
-TEST(MessagePool, AcquireReleaseRoundTrip) {
-  MessagePool<Msg> pool(8);
-  EXPECT_EQ(pool.capacity(), 8u);
-  Msg* m = pool.acquire();
+// Cache-line-aligned backing bytes standing in for a mapped segment.
+class PoolBytes {
+ public:
+  explicit PoolBytes(usize capacity)
+      : lines_(ShmMessagePool<Msg>::required_bytes(capacity) / kCacheLine),
+        pool_(ShmMessagePool<Msg>::create(lines_.data(), capacity)) {}
+  PoolBytes(const PoolBytes&) = delete;  // pool_ views lines_' storage
+  PoolBytes& operator=(const PoolBytes&) = delete;
+  ShmMessagePool<Msg>* operator->() { return &pool_; }
+
+ private:
+  struct alignas(kCacheLine) Line {
+    unsigned char bytes[kCacheLine];
+  };
+  std::vector<Line> lines_;
+  ShmMessagePool<Msg> pool_;
+};
+
+TEST(ShmMessagePool, AcquireReleaseRoundTrip) {
+  PoolBytes pool(8);
+  EXPECT_EQ(pool->capacity(), 8u);
+  Msg* m = pool->acquire();
   ASSERT_NE(m, nullptr);
   m->seq = 42;
-  EXPECT_EQ(pool.in_use_approx(), 1u);
-  const auto idx = pool.index_of(m);
-  EXPECT_EQ(pool.at(idx), m);
-  pool.release(m);
-  EXPECT_EQ(pool.in_use_approx(), 0u);
+  EXPECT_EQ(pool->in_use_approx(), 1u);
+  const auto idx = pool->index_of(m);
+  EXPECT_EQ(pool->at(idx), m);
+  pool->release(m);
+  EXPECT_EQ(pool->in_use_approx(), 0u);
 }
 
-TEST(MessagePool, ExhaustionReturnsNullAndCounts) {
-  MessagePool<Msg> pool(4);
+TEST(ShmMessagePool, ExhaustionReturnsNullAndCounts) {
+  PoolBytes pool(4);
   std::vector<Msg*> held;
   for (int i = 0; i < 4; ++i) {
-    Msg* m = pool.acquire();
+    Msg* m = pool->acquire();
     ASSERT_NE(m, nullptr);
     held.push_back(m);
   }
-  EXPECT_EQ(pool.acquire(), nullptr);
-  EXPECT_EQ(pool.acquire(), nullptr);
-  EXPECT_EQ(pool.exhausted(), 2u);
+  EXPECT_EQ(pool->acquire(), nullptr);
+  EXPECT_EQ(pool->acquire(), nullptr);
+  EXPECT_EQ(pool->exhausted(), 2u);
   // Releasing one makes exactly one acquire succeed again.
-  pool.release(held.back());
+  pool->release(held.back());
   held.pop_back();
-  Msg* again = pool.acquire();
+  Msg* again = pool->acquire();
   EXPECT_NE(again, nullptr);
-  EXPECT_EQ(pool.acquire(), nullptr);
-  EXPECT_EQ(pool.exhausted(), 3u);
+  EXPECT_EQ(pool->acquire(), nullptr);
+  EXPECT_EQ(pool->exhausted(), 3u);
 }
 
-TEST(MessagePool, CellsAreDistinctAndReused) {
-  MessagePool<Msg> pool(16);
+TEST(ShmMessagePool, CellsAreDistinctAndReused) {
+  PoolBytes pool(16);
   std::set<Msg*> first;
   std::vector<Msg*> held;
   for (int i = 0; i < 16; ++i) {
-    Msg* m = pool.acquire();
+    Msg* m = pool->acquire();
     first.insert(m);
     held.push_back(m);
   }
   EXPECT_EQ(first.size(), 16u);  // no cell handed out twice
-  for (Msg* m : held) pool.release(m);
+  for (Msg* m : held) pool->release(m);
   // The same storage comes back — the pool never grows.
   for (int i = 0; i < 16; ++i) {
-    Msg* m = pool.acquire();
+    Msg* m = pool->acquire();
     EXPECT_TRUE(first.count(m)) << "reacquired cell outside original block";
   }
 }
 
-TEST(MessagePool, CellsAreCacheLineAligned) {
-  MessagePool<Msg> pool(8);
+TEST(ShmMessagePool, CellsAreCacheLineAligned) {
+  PoolBytes pool(8);
   std::vector<Msg*> held;
-  for (int i = 0; i < 8; ++i) held.push_back(pool.acquire());
+  for (int i = 0; i < 8; ++i) held.push_back(pool->acquire());
   std::sort(held.begin(), held.end());
   for (Msg* m : held) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m) % kCacheLine, 0u);
@@ -84,43 +104,43 @@ TEST(MessagePool, CellsAreCacheLineAligned) {
   }
 }
 
-TEST(MessagePool, IndexHandlesSurviveTheRing) {
-  MessagePool<Msg> pool(8);
-  Msg* m = pool.acquire();
+TEST(ShmMessagePool, IndexHandlesSurviveTheRing) {
+  PoolBytes pool(8);
+  Msg* m = pool->acquire();
   m->seq = 7;
-  const MessagePool<Msg>::Index idx = pool.index_of(m);
+  const ShmMessagePool<Msg>::Index idx = pool->index_of(m);
   // ...index crosses a ShmSpscRing<u32> here...
-  EXPECT_EQ(pool.at(idx)->seq, 7u);
-  pool.release_index(idx);
-  EXPECT_EQ(pool.in_use_approx(), 0u);
+  EXPECT_EQ(pool->at(idx)->seq, 7u);
+  pool->release_index(idx);
+  EXPECT_EQ(pool->in_use_approx(), 0u);
 }
 
-TEST(MessagePool, ConcurrentAcquireReleaseStress) {
+TEST(ShmMessagePool, ConcurrentAcquireReleaseStress) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 20000;
-  MessagePool<Msg> pool(kThreads * 2);
+  PoolBytes pool(kThreads * 2);
   std::atomic<bool> failed{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&pool, &failed, t] {
       for (int i = 0; i < kRounds; ++i) {
-        Msg* m = pool.acquire();
+        Msg* m = pool->acquire();
         if (m == nullptr) continue;  // transient exhaustion is legal
         m->seq = static_cast<u64>(t) << 32 | static_cast<u64>(i);
         if (m->seq != (static_cast<u64>(t) << 32 | static_cast<u64>(i))) {
           failed.store(true);
         }
-        pool.release(m);
+        pool->release(m);
       }
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(pool.in_use_approx(), 0u);
+  EXPECT_EQ(pool->in_use_approx(), 0u);
   // Every cell must still be acquirable — the free list survived the race.
   std::vector<Msg*> all;
-  for (usize i = 0; i < pool.capacity(); ++i) {
-    Msg* m = pool.acquire();
+  for (usize i = 0; i < pool->capacity(); ++i) {
+    Msg* m = pool->acquire();
     ASSERT_NE(m, nullptr) << "free list lost a cell at " << i;
     all.push_back(m);
   }

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <string>
+
+#include "common/rt_logger.hpp"
 
 namespace rtseed::core {
 namespace {
@@ -150,6 +154,40 @@ TEST(OptionalPool, CpuAccessorMatchesAssignment) {
               assign_cpu(topology, AssignmentPolicy::kOneByOne, k));
   }
   EXPECT_EQ(pool.size(), 3);
+}
+
+// Unknown RTSEED_WAKE_BACKEND values (including "futex", the name of a
+// retired protocol) fall back to the default with one warning that names
+// the accepted values; explicit requests ignore the variable.
+TEST(OptionalPool, UnknownWakeBackendEnvFallsBackToBatchWithWarning) {
+  const char* saved = std::getenv("RTSEED_WAKE_BACKEND");
+  const std::string restore = saved != nullptr ? saved : "";
+  auto& logger = common::global_logger();
+  for (const char* value : {"futex", "bogus"}) {
+    ::setenv("RTSEED_WAKE_BACKEND", value, 1);
+    (void)logger.drain();
+    EXPECT_EQ(resolve_wake_backend(WakeBackend::kAuto),
+              WakeBackend::kFutexBatch)
+        << value;
+    const auto lines = logger.drain();
+    ASSERT_EQ(lines.size(), 1u) << value;
+    EXPECT_NE(lines[0].find(value), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find("futex-batch|condvar"), std::string::npos)
+        << lines[0];
+  }
+  ::setenv("RTSEED_WAKE_BACKEND", "condvar", 1);
+  EXPECT_EQ(resolve_wake_backend(WakeBackend::kAuto), WakeBackend::kCondvar);
+  EXPECT_EQ(resolve_wake_backend(WakeBackend::kFutexBatch),
+            WakeBackend::kFutexBatch);
+  ::setenv("RTSEED_WAKE_BACKEND", "futex-batch", 1);
+  (void)logger.drain();
+  EXPECT_EQ(resolve_wake_backend(WakeBackend::kAuto), WakeBackend::kFutexBatch);
+  EXPECT_TRUE(logger.drain().empty());
+  if (saved != nullptr) {
+    ::setenv("RTSEED_WAKE_BACKEND", restore.c_str(), 1);
+  } else {
+    ::unsetenv("RTSEED_WAKE_BACKEND");
+  }
 }
 
 }  // namespace

@@ -124,8 +124,9 @@ TEST(Runtime, UnschedulableSetRejectedAtStart) {
   options.topology = rt::Topology::uniform(1, 1);  // single processor
   Runtime runtime(options);
   for (int i = 0; i < 3; ++i) {
-    TaskConfig tc = quick_task("t" + std::to_string(i), millis(40), 0, 1,
-                               nullptr);
+    std::string name = "t";
+    name += std::to_string(i);
+    TaskConfig tc = quick_task(name, millis(40), 0, 1, nullptr);
     tc.params.mandatory = millis(10);
     tc.params.windup = millis(10);  // U = 0.5 each; three do not fit
     ASSERT_TRUE(runtime.admit(tc).is_ok());

@@ -1,6 +1,6 @@
 // Stress and pathology tests of the OptionalPool handoff protocol, run
-// against ALL wake backends (batched futex, per-slot futex word, and the
-// legacy condvar) — the suite the tsan CI entry executes.
+// against both wake backends (batched futex and the legacy condvar) — the
+// suite the tsan CI entry executes.
 //
 // Everything here uses kPeriodicCheck termination: no timers, no signals,
 // no siglongjmp — so ThreadSanitizer sees every synchronization edge and
@@ -193,14 +193,11 @@ TEST(WakeBatch, SingleWakePerFullFanOut) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, WakeProtocol,
     ::testing::Values(core::WakeBackend::kFutexBatch,
-                      core::WakeBackend::kFutexWord,
                       core::WakeBackend::kCondvar),
     [](const ::testing::TestParamInfo<core::WakeBackend>& info) {
-      switch (info.param) {
-        case core::WakeBackend::kFutexBatch: return std::string("futex_batch");
-        case core::WakeBackend::kFutexWord: return std::string("futex");
-        default: return std::string("condvar");
-      }
+      return info.param == core::WakeBackend::kFutexBatch
+                 ? std::string("futex_batch")
+                 : std::string("condvar");
     });
 
 }  // namespace

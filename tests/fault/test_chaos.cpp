@@ -5,8 +5,9 @@
 //
 // FaultTsan* tests use the periodic-check termination strategy (no
 // siglongjmp, no throwing handlers) so the whole suite is ThreadSanitizer
-// clean on both wake backends.  The ChaosSigjmp suite at the bottom needs
-// the signal-jump machinery and is excluded from the tsan run.
+// clean on both wake backends; the *Futex cases run the production
+// batched futex protocol (kFutexBatch).  The ChaosSigjmp suite at the
+// bottom needs the signal-jump machinery and is excluded from the tsan run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,13 +88,14 @@ void run_lost_wake(core::WakeBackend backend) {
 
   EXPECT_EQ(fx.windup_runs.load(), 4);  // every job finished its wind-up
   EXPECT_GE(task.pool()->wake_retries(), 1L);  // recovery path exercised
-  // The futex path only swallows wakes of genuinely PARKED workers, so on
-  // hosts where a worker is caught mid-spin fewer than the cap may fire.
+  // The futex path only swallows the wake of a round with a genuinely
+  // PARKED worker, so on hosts where the workers are caught mid-spin
+  // fewer than the cap may fire.
   EXPECT_GE(scoped.injector().injected(InjectPoint::kLostWake), 1u);
 }
 
 TEST(FaultTsanChaos, LostWakeRecoveredFutex) {
-  run_lost_wake(core::WakeBackend::kFutexWord);
+  run_lost_wake(core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, LostWakeRecoveredCondvar) {
@@ -129,7 +131,7 @@ void run_worker_death(core::WakeBackend backend) {
 }
 
 TEST(FaultTsanChaos, WorkerDeathRespawnedFutex) {
-  run_worker_death(core::WakeBackend::kFutexWord);
+  run_worker_death(core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, WorkerDeathRespawnedCondvar) {
@@ -154,7 +156,7 @@ TEST(FaultTsanChaos, WorkerStallDetected) {
   Supervisor supervisor(sup_config);
 
   core::ImpreciseTask task(0, fx.config(1, 3), fx.placement(millis(20)),
-                           fx.options(core::WakeBackend::kFutexWord),
+                           fx.options(core::WakeBackend::kFutexBatch),
                            fx.topology);
   supervisor.watch(task.pool(), 0, "staller");
   ASSERT_TRUE(task.start().is_ok());
@@ -177,7 +179,7 @@ TEST(FaultTsanChaos, EintrStormHarmless) {
   ChaosFixture fx;
   core::ImpreciseTask task(0, fx.config(2, 4, millis(100)),
                            fx.placement(millis(30)),
-                           fx.options(core::WakeBackend::kFutexWord),
+                           fx.options(core::WakeBackend::kFutexBatch),
                            fx.topology);
   ASSERT_TRUE(task.start().is_ok());
   task.wait_finished();
@@ -231,11 +233,11 @@ void run_full_chaos(common::u64 seed, core::WakeBackend backend) {
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed1Futex) {
-  run_full_chaos(1, core::WakeBackend::kFutexWord);
+  run_full_chaos(1, core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed42Futex) {
-  run_full_chaos(42, core::WakeBackend::kFutexWord);
+  run_full_chaos(42, core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed42Condvar) {
@@ -272,7 +274,7 @@ TEST(ChaosSigjmp, TimerMisfireRecoveredBySupervisorKill) {
   sup_config.kill_grace = millis(10);
   Supervisor supervisor(sup_config);
 
-  auto options = fx.options(core::WakeBackend::kFutexWord);
+  auto options = fx.options(core::WakeBackend::kFutexBatch);
   options.termination = core::TerminationStrategy::kSigjmp;
   core::ImpreciseTask task(0, std::move(tc), fx.placement(millis(25)),
                            options, fx.topology);

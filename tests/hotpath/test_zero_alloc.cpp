@@ -136,7 +136,7 @@ TEST(ZeroAlloc, IndicatorAnalyzerRoundAllocatesNothing) {
 // wrapper, completion countdown — allocates nothing on any thread.
 TEST(ZeroAlloc, OptionalPoolSteadyStateRoundAllocatesNothing) {
   for (const auto backend :
-       {core::WakeBackend::kFutexBatch, core::WakeBackend::kFutexWord}) {
+       {core::WakeBackend::kFutexBatch, core::WakeBackend::kCondvar}) {
     core::OptionalPool::Options options;
     options.termination = core::TerminationStrategy::kPeriodicCheck;
     options.fifo_priority = 0;

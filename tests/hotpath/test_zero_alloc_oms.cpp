@@ -1,6 +1,6 @@
 // Zero-allocation audit of a FULL OMS job round (ISSUE 9 acceptance
 // criterion): mandatory market-flow burst + TTL sweep, depth-band
-// optional parts on the OptionalPool (both futex wake backends), and
+// optional parts on the OptionalPool (both wake backends), and
 // the wind-up's order dispatch + exec report through the shard
 // transport — all with the global alloc hook counting.  Everything the
 // order path touches — book cells, level bitmaps, client records, TTL
@@ -100,11 +100,11 @@ TEST(ZeroAllocOms, InlineOmsRoundAllocatesNothing) {
 }
 
 // THE gate: the same job round with the optional parts running on the
-// OptionalPool — worker dispatch, batched futex wake, per-slot scratch
-// arenas — on BOTH wake backends.
+// OptionalPool — worker dispatch, wake fan-out, per-slot scratch arenas —
+// on BOTH wake backends.
 TEST(ZeroAllocOms, PooledOmsRoundAllocatesNothingOnBothBackends) {
   for (const auto backend :
-       {core::WakeBackend::kFutexBatch, core::WakeBackend::kFutexWord}) {
+       {core::WakeBackend::kFutexBatch, core::WakeBackend::kCondvar}) {
     trading::OmsTask task(audit_config());
     auto transport = shard::ShardTransport::create(1);
     ASSERT_TRUE(transport.has_value());

@@ -18,8 +18,11 @@ struct SweepParam {
 };
 
 std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
-  return "u" + std::to_string(static_cast<int>(info.param.utilization * 100)) +
-         "_s" + std::to_string(info.param.seed);
+  std::string name = "u";
+  name += std::to_string(static_cast<int>(info.param.utilization * 100));
+  name += "_s";
+  name += std::to_string(info.param.seed);
+  return name;
 }
 
 class AnalysisSweep : public ::testing::TestWithParam<SweepParam> {

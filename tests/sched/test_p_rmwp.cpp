@@ -103,8 +103,10 @@ TEST(PRmwp, RejectsInvalidInput) {
 TEST(PRmwp, SpreadsLoadAcrossProcessors) {
   TaskSet set;
   for (int i = 0; i < 4; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
     auto t = paper_task();
-    t.name = "t" + std::to_string(i);
+    t.name = std::move(name);
     t.mandatory = millis(300);
     t.windup = millis(300);  // U = 0.6: two per processor do not fit
     set.add(t);

@@ -415,17 +415,5 @@ TEST_F(ProcessRuntimeTest, FailoverRedirectRoutesAroundADeadShard) {
   rt.stop();
 }
 
-TEST(ProcessShardsEnv, OptInParsesTruthyValues) {
-  ::unsetenv("RTSEED_SHARD_PROC");
-  EXPECT_FALSE(process_shards_enabled());
-  ::setenv("RTSEED_SHARD_PROC", "1", 1);
-  EXPECT_TRUE(process_shards_enabled());
-  ::setenv("RTSEED_SHARD_PROC", "true", 1);
-  EXPECT_TRUE(process_shards_enabled());
-  ::setenv("RTSEED_SHARD_PROC", "0", 1);
-  EXPECT_FALSE(process_shards_enabled());
-  ::unsetenv("RTSEED_SHARD_PROC");
-}
-
 }  // namespace
 }  // namespace rtseed::shard

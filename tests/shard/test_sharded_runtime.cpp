@@ -48,23 +48,15 @@ ShardedRuntimeOptions two_shard_options() {
 
 TEST(CarveShards, LlcPolicyCutsOnDomainBoundaries) {
   const auto topo = Topology::uniform_numa(8, 1, 2);  // nodes {0-3},{4-7}
-  const auto shards = carve_shards(topo, 2, ShardPolicy::kLlc);
+  const auto shards = carve_shards(topo, 2);
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_EQ(shards[0], (std::vector<common::CoreId>{0, 1, 2, 3}));
   EXPECT_EQ(shards[1], (std::vector<common::CoreId>{4, 5, 6, 7}));
 }
 
-TEST(CarveShards, SpreadPolicyInterleaves) {
-  const auto topo = Topology::uniform_numa(4, 1, 2);
-  const auto shards = carve_shards(topo, 2, ShardPolicy::kSpread);
-  ASSERT_EQ(shards.size(), 2u);
-  EXPECT_EQ(shards[0], (std::vector<common::CoreId>{0, 2}));
-  EXPECT_EQ(shards[1], (std::vector<common::CoreId>{1, 3}));
-}
-
 TEST(CarveShards, UnevenCountsDifferByAtMostOne) {
   const auto topo = Topology::uniform(7, 1);
-  const auto shards = carve_shards(topo, 3, ShardPolicy::kCompact);
+  const auto shards = carve_shards(topo, 3);
   ASSERT_EQ(shards.size(), 3u);
   EXPECT_EQ(shards[0].size(), 3u);
   EXPECT_EQ(shards[1].size(), 2u);
@@ -77,20 +69,8 @@ TEST(CarveShards, UnevenCountsDifferByAtMostOne) {
 
 TEST(CarveShards, RejectsImpossibleCounts) {
   const auto topo = Topology::uniform(2, 1);
-  EXPECT_TRUE(carve_shards(topo, 0, ShardPolicy::kLlc).empty());
-  EXPECT_TRUE(carve_shards(topo, 3, ShardPolicy::kLlc).empty());
-}
-
-TEST(ShardPolicyNames, RoundTrip) {
-  ShardPolicy policy;
-  ASSERT_TRUE(parse_shard_policy("llc", &policy));
-  EXPECT_EQ(policy, ShardPolicy::kLlc);
-  ASSERT_TRUE(parse_shard_policy("compact", &policy));
-  EXPECT_EQ(policy, ShardPolicy::kCompact);
-  ASSERT_TRUE(parse_shard_policy("spread", &policy));
-  EXPECT_EQ(policy, ShardPolicy::kSpread);
-  EXPECT_FALSE(parse_shard_policy("numa", &policy));
-  EXPECT_STREQ(shard_policy_name(ShardPolicy::kSpread), "spread");
+  EXPECT_TRUE(carve_shards(topo, 0).empty());
+  EXPECT_TRUE(carve_shards(topo, 3).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +79,9 @@ TEST(ShardPolicyNames, RoundTrip) {
 TEST(ShardedRuntime, AnalyzePlacesSymbolGroupsOnShards) {
   ShardedRuntime sr(two_shard_options());
   for (u32 sym = 0; sym < 4; ++sym) {
-    ASSERT_TRUE(sr.admit(tiny_task("t" + std::to_string(sym)), sym).is_ok());
+    std::string name = "t";
+    name += std::to_string(sym);
+    ASSERT_TRUE(sr.admit(tiny_task(name), sym).is_ok());
   }
   const auto plan = sr.analyze();
   ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
@@ -124,9 +106,8 @@ TEST(ShardedRuntime, ShardOfFallsBackToHashForUnknownSymbols) {
   EXPECT_EQ(sr.shard_of(unknown), sched::home_shard(unknown, 2));
 }
 
-TEST(ShardedRuntime, EnvOverridesShardCountAndPolicy) {
-  ::setenv("RTSEED_SHARDS", "2", 1);
-  ::setenv("RTSEED_SHARD_POLICY", "spread", 1);
+TEST(ShardedRuntime, EnvOverridesShardCount) {
+  ::setenv("RTSEED_SHARDS", "4", 1);
   ShardedRuntimeOptions options = two_shard_options();
   options.num_shards = 0;
   options.from_env = true;
@@ -135,19 +116,19 @@ TEST(ShardedRuntime, EnvOverridesShardCountAndPolicy) {
   ASSERT_TRUE(sr.admit(tiny_task("a"), 1).is_ok());
   ASSERT_TRUE(sr.analyze().has_value());
   ::unsetenv("RTSEED_SHARDS");
-  ::unsetenv("RTSEED_SHARD_POLICY");
-  EXPECT_EQ(sr.num_shards(), 2);
-  EXPECT_EQ(sr.shard_cores(0), (std::vector<common::CoreId>{0, 2}));
+  EXPECT_EQ(sr.num_shards(), 4);  // not the one-per-LLC default of 2
+  EXPECT_EQ(sr.shard_cores(1), (std::vector<common::CoreId>{1}));
 }
 
 TEST(ShardedRuntime, MalformedEnvFailsLoudly) {
-  ::setenv("RTSEED_SHARD_POLICY", "bogus", 1);
+  ::setenv("RTSEED_SHARDS", "bogus", 1);
   ShardedRuntimeOptions options = two_shard_options();
+  options.num_shards = 0;
   options.from_env = true;
   ShardedRuntime sr(std::move(options));
   ASSERT_TRUE(sr.admit(tiny_task("a"), 1).is_ok());
   const auto plan = sr.analyze();
-  ::unsetenv("RTSEED_SHARD_POLICY");
+  ::unsetenv("RTSEED_SHARDS");
   EXPECT_FALSE(plan.has_value());
 }
 

@@ -52,7 +52,9 @@ TEST(FeedRouter, FansTicksOutToEachSymbolsShard) {
   shard::ShardedRuntime sr(two_shard_options());
   constexpr int kSymbols = 4;
   for (u32 sym = 0; sym < kSymbols; ++sym) {
-    ASSERT_TRUE(sr.admit(tiny_task("t" + std::to_string(sym)), sym).is_ok());
+    std::string name = "t";
+    name += std::to_string(sym);
+    ASSERT_TRUE(sr.admit(tiny_task(name), sym).is_ok());
   }
   ASSERT_TRUE(sr.start().is_ok());
 
