@@ -13,8 +13,11 @@
 // demo finishes in ~6 seconds.
 //
 // Build & run:  ./build/examples/trading_demo
-//   --trace out.json    record live telemetry and write a Perfetto trace
-//                       (open in ui.perfetto.dev or chrome://tracing)
+//   --trace out.json    the session timeline: record live telemetry and
+//                       write a Perfetto trace with one track per thread
+//                       and one lane per task part (open in
+//                       ui.perfetto.dev or chrome://tracing); without it
+//                       no timeline is written
 //   --metrics out.prom  dump the Prometheus metrics after the run
 //   --chaos seed        inject deterministic faults (lost wakes, worker
 //                       stalls/deaths, EINTR storms) for that seed, with
@@ -32,7 +35,6 @@
 #include <string>
 
 #include "core/runtime.hpp"
-#include "core/trace_export.hpp"
 #include "fault/injector.hpp"
 #include "obs/attribution.hpp"
 #include "obs/flight_recorder.hpp"
@@ -75,7 +77,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace out.json] [--metrics out.prom] "
-                   "[--chaos seed] [--flight-record]\n",
+                   "[--chaos seed] [--flight-record]\n"
+                   "  --trace out.json  write the session timeline "
+                   "(Perfetto trace)\n",
                    argv[0]);
       return 2;
     }
@@ -165,16 +169,7 @@ int main(int argc, char** argv) {
   runtime.wait_all_finished();
   auto report = runtime.stop_and_report();
 
-  // Export a chrome://tracing timeline of the whole session.
-  if (core::write_chrome_trace(
-          "trading_demo_trace.json",
-          {{report.tasks[0].name, report.tasks[0].records}})
-          .is_ok()) {
-    std::printf("(timeline written to trading_demo_trace.json — open in "
-                "chrome://tracing)\n\n");
-  }
-
-  // Live telemetry exports (per-thread tracks, one lane per task part).
+  // The session timeline (per-thread tracks, one lane per task part).
   if (!trace_path.empty()) {
     const auto snapshot = runtime.telemetry_snapshot();
     if (auto st = obs::write_perfetto_trace(trace_path, snapshot); st) {

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/table.hpp"
+#include "obs/chrome_trace.hpp"
 #include "rt/tsc.hpp"
 
 namespace rtseed::obs {
@@ -125,27 +126,6 @@ RootCause classify_termination(const JobTimeline& t) {
                             : RootCause::kMandatoryOverrun;
   }
   return RootCause::kOptionalOverrun;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 void append_cause_histogram(std::string& out, const char* key,

@@ -1,11 +1,12 @@
 // Chrome trace-event ("traceEvents") JSON document builder.
 //
-// Both trace exporters — the live obs::Telemetry event stream and the
-// summary-only core/trace_export path — build their documents through
-// this class, which owns the concerns snprintf-into-a-fixed-buffer code
-// gets wrong: JSON string escaping (quotes, backslashes, control
-// characters), arbitrary-length names, and comma placement.  The output
-// loads in Perfetto (ui.perfetto.dev) and chrome://tracing.
+// The trace exporter (obs/perfetto_export, over the live obs::Telemetry
+// event stream) builds its document through this class, which owns the
+// concerns snprintf-into-a-fixed-buffer code gets wrong: JSON string
+// escaping (quotes, backslashes, control characters), arbitrary-length
+// names, and comma placement.  The output loads in Perfetto
+// (ui.perfetto.dev) and chrome://tracing.  json_escape() is also the one
+// escaper behind the flight-recorder and attribution JSON documents.
 #pragma once
 
 #include <string>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 
+#include "obs/chrome_trace.hpp"
+
 namespace rtseed::obs {
 
 namespace detail {
@@ -33,24 +35,6 @@ common::usize round_up_pow2(common::usize n) {
   return p;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions options,
@@ -69,19 +53,16 @@ FlightRing* FlightRecorder::register_thread(std::string name) {
 std::string FlightRecorder::render_json(const std::string& reason) const {
   std::string out;
   out += "{\"schema\":\"rtseed-flight-v1\",";
-  out += "\"reason\":\"";
-  append_escaped(out, reason);
+  out += "\"reason\":\"" + json_escape(reason);
   out += "\",\"clock\":\"" + clock_name_ + "\",";
-  out += "\"tag\":\"";
-  append_escaped(out, options_.tag);
+  out += "\"tag\":\"" + json_escape(options_.tag);
   out += "\",\"threads\":[";
   std::lock_guard lock(mutex_);
   bool first_ring = true;
   for (const auto& ring : rings_) {
     if (!first_ring) out += ",";
     first_ring = false;
-    out += "{\"name\":\"";
-    append_escaped(out, ring->name());
+    out += "{\"name\":\"" + json_escape(ring->name());
     out += "\",\"recorded\":" + std::to_string(ring->recorded());
     out += ",\"events\":[";
     bool first_event = true;

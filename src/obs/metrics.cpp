@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
-
 namespace rtseed::obs {
 
 const char* metric_type_name(MetricType type) {
@@ -10,7 +8,6 @@ const char* metric_type_name(MetricType type) {
       return "counter";
     case MetricType::kGauge:
       return "gauge";
-    case MetricType::kHistogram:
     case MetricType::kHdrHistogram:
       return "histogram";
   }
@@ -29,46 +26,6 @@ void Gauge::add(double delta) {
   while (!value_.compare_exchange_weak(current, current + delta,
                                        std::memory_order_relaxed)) {
   }
-}
-
-Histogram::Histogram(double lo, double hi, common::usize buckets)
-    : lo_(lo),
-      hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets == 0 ? 1 : buckets)),
-      counts_(buckets == 0 ? 1 : buckets) {}
-
-void Histogram::record(double x) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + x,
-                                     std::memory_order_relaxed)) {
-  }
-  if (x < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (x >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto i = static_cast<common::usize>((x - lo_) / width_);
-  if (i >= counts_.size()) i = counts_.size() - 1;  // FP edge at hi
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-}
-
-common::Histogram Histogram::materialize() const {
-  common::Histogram out(lo_, hi_, counts_.size());
-  for (common::usize i = 0; i < counts_.size(); ++i) {
-    const auto n = counts_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    out.record_n((bucket_lo(i) + bucket_hi(i)) / 2.0,
-                 static_cast<common::usize>(n));
-  }
-  const auto uf = underflow_.load(std::memory_order_relaxed);
-  const auto of = overflow_.load(std::memory_order_relaxed);
-  if (uf > 0) out.record_n(std::nextafter(lo_, -1e308), uf);
-  if (of > 0) out.record_n(hi_, of);
-  return out;
 }
 
 MetricsRegistry::Slot* MetricsRegistry::find_locked(const std::string& name,
@@ -113,23 +70,6 @@ Gauge* MetricsRegistry::gauge(const std::string& name,
   return out;
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help, double lo,
-                                      double hi, common::usize buckets,
-                                      Labels labels) {
-  std::lock_guard lock(mutex_);
-  if (auto* slot = find_locked(name, labels, MetricType::kHistogram)) {
-    return slot->entry.histogram;
-  }
-  auto slot = std::make_unique<Slot>();
-  slot->histogram = std::make_unique<Histogram>(lo, hi, buckets);
-  slot->entry = {name, help, MetricType::kHistogram, std::move(labels),
-                 nullptr, nullptr, slot->histogram.get()};
-  auto* out = slot->entry.histogram;
-  slots_.push_back(std::move(slot));
-  return out;
-}
-
 HdrHistogram* MetricsRegistry::hdr_histogram(const std::string& name,
                                              const std::string& help,
                                              Labels labels) {
@@ -139,11 +79,8 @@ HdrHistogram* MetricsRegistry::hdr_histogram(const std::string& name,
   }
   auto slot = std::make_unique<Slot>();
   slot->hdr = std::make_unique<HdrHistogram>();
-  slot->entry.name = name;
-  slot->entry.help = help;
-  slot->entry.type = MetricType::kHdrHistogram;
-  slot->entry.labels = std::move(labels);
-  slot->entry.hdr = slot->hdr.get();
+  slot->entry = {name, help, MetricType::kHdrHistogram, std::move(labels),
+                 nullptr, nullptr, slot->hdr.get()};
   auto* out = slot->entry.hdr;
   slots_.push_back(std::move(slot));
   return out;

@@ -48,36 +48,6 @@ std::string label_block(const Labels& labels) {
   return out;
 }
 
-void render_histogram(std::string& out, const MetricsRegistry::Entry& entry) {
-  const auto* h = entry.histogram;
-  // Cumulative buckets.  Out-of-range samples must stay visible: the
-  // lowest bucket (le = lo) carries exactly the underflow count, and
-  // everything at or above hi appears in the +Inf bucket (its count
-  // exceeds the last linear bucket by the overflow count).
-  {
-    Labels labels = entry.labels;
-    labels.emplace_back("le", format_value(h->bucket_lo(0)));
-    out += entry.name + "_bucket" + label_block(labels) + " " +
-           std::to_string(h->underflow()) + "\n";
-  }
-  common::u64 cumulative = h->underflow();
-  for (common::usize i = 0; i < h->bucket_count(); ++i) {
-    cumulative += h->bucket(i);
-    Labels labels = entry.labels;
-    labels.emplace_back("le", format_value(h->bucket_hi(i)));
-    out += entry.name + "_bucket" + label_block(labels) + " " +
-           std::to_string(cumulative) + "\n";
-  }
-  Labels inf_labels = entry.labels;
-  inf_labels.emplace_back("le", "+Inf");
-  out += entry.name + "_bucket" + label_block(inf_labels) + " " +
-         std::to_string(h->count()) + "\n";
-  out += entry.name + "_sum" + label_block(entry.labels) + " " +
-         format_value(h->sum()) + "\n";
-  out += entry.name + "_count" + label_block(entry.labels) + " " +
-         std::to_string(h->count()) + "\n";
-}
-
 // Log-bucketed tail histogram: only non-empty buckets get an le entry
 // (the full geometry is ~2k buckets), which is valid Prometheus — the
 // cumulative counts stay monotone over any le subset.
@@ -126,9 +96,6 @@ std::string render_prometheus(const MetricsRegistry& registry) {
       case MetricType::kGauge:
         out += entry.name + label_block(entry.labels) + " " +
                format_value(entry.gauge->value()) + "\n";
-        break;
-      case MetricType::kHistogram:
-        render_histogram(out, entry);
         break;
       case MetricType::kHdrHistogram:
         render_hdr_histogram(out, entry);

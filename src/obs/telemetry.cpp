@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/rt_logger.hpp"
-#include "common/table.hpp"
 #include "common/time.hpp"
 #include "rt/tsc.hpp"
 
@@ -288,81 +287,6 @@ TelemetrySnapshot Telemetry::snapshot() {
     snap.threads.push_back(std::move(t));
   }
   return snap;
-}
-
-std::string Telemetry::summary() {
-  const auto snap = snapshot();
-  std::string out = "=== telemetry (clock: ";
-  out += clock_domain_name(snap.clock);
-  out += ") ===\n";
-
-  if (!snap.threads.empty()) {
-    common::Table threads({"thread", "cpu", "events", "dropped"});
-    for (const auto& t : snap.threads) {
-      threads.add_row({t.name,
-                       t.cpu == common::kInvalidCpu ? "-"
-                                                    : std::to_string(t.cpu),
-                       std::to_string(t.events.size()),
-                       std::to_string(t.dropped)});
-    }
-    out += threads.render();
-  }
-
-  common::Table table(
-      {"metric", "labels", "value", "p50", "p99", "p99.9", "max"});
-  for (const auto& entry : metrics_.entries()) {
-    std::string labels;
-    for (const auto& [k, v] : entry.labels) {
-      if (!labels.empty()) labels += ",";
-      labels += k + "=" + v;
-    }
-    switch (entry.type) {
-      case MetricType::kCounter:
-        table.add_row({entry.name, labels,
-                       std::to_string(entry.counter->value()), "-", "-", "-",
-                       "-"});
-        break;
-      case MetricType::kGauge:
-        table.add_row({entry.name, labels,
-                       common::format_double(entry.gauge->value(), 3), "-",
-                       "-", "-", "-"});
-        break;
-      case MetricType::kHistogram: {
-        const auto h = entry.histogram->materialize();
-        const auto n = entry.histogram->count();
-        const double mean =
-            n == 0 ? 0.0
-                   : entry.histogram->sum() / static_cast<double>(n);
-        // Out-of-range samples must not disappear from the rendering.
-        std::string value = "n=" + std::to_string(n) +
-                            " mean=" + common::format_double(mean, 1);
-        if (entry.histogram->underflow() > 0) {
-          value += " uf=" + std::to_string(entry.histogram->underflow());
-        }
-        if (entry.histogram->overflow() > 0) {
-          value += " of=" + std::to_string(entry.histogram->overflow());
-        }
-        table.add_row({entry.name, labels, std::move(value),
-                       common::format_double(h.percentile(0.50), 1),
-                       common::format_double(h.percentile(0.99), 1),
-                       common::format_double(h.percentile(0.999), 1), "-"});
-        break;
-      }
-      case MetricType::kHdrHistogram: {
-        const auto* h = entry.hdr;
-        table.add_row({entry.name, labels,
-                       "n=" + std::to_string(h->count()) +
-                           " mean=" + common::format_double(h->mean(), 1),
-                       std::to_string(h->percentile(0.50)),
-                       std::to_string(h->percentile(0.99)),
-                       std::to_string(h->percentile(0.999)),
-                       std::to_string(h->max_value())});
-        break;
-      }
-    }
-  }
-  out += table.render();
-  return out;
 }
 
 }  // namespace rtseed::obs

@@ -8,8 +8,8 @@
 //   * emitting events and bumping metrics is wait-free (see TraceBuffer
 //     and MetricsRegistry) — that is all the hot path ever does;
 //   * snapshot() drains the rings into an accumulated store and returns a
-//     copy; exporters (obs/perfetto_export, obs/prometheus_export) and the
-//     ASCII summary render from there.
+//     copy; the trace exporter (obs/perfetto_export) renders from there,
+//     and the metrics exporter (obs/prometheus_export) reads metrics().
 //
 // When RuntimeOptions::telemetry.enabled is false no Telemetry object
 // exists at all: instrumented code guards every emit behind a branch on a
@@ -131,10 +131,6 @@ class Telemetry {
   /// counters (trace drops, logger drops), and returns a copy of
   /// everything collected since construction.
   TelemetrySnapshot snapshot();
-
-  /// End-of-run ASCII rendering (common::table): per-thread event/drop
-  /// counts plus every registered metric.
-  std::string summary();
 
  private:
   void sync_mirrored_counters_locked();

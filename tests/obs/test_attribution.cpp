@@ -284,6 +284,16 @@ TEST(Attribution, JsonIsValidAndVersioned) {
   EXPECT_FALSE(report.to_ascii().empty());
 }
 
+TEST(Attribution, ControlCharactersInTaskNamesStayValidJson) {
+  auto snapshot = snap(normal_job());
+  snapshot.task_names = {"tab\there\rcr\x01soh"};
+  const std::string json = attribute_jobs(snapshot).to_json();
+  EXPECT_TRUE(rtseed::test::JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"name\":\"tab\\there\\rcr\\u0001soh\""),
+            std::string::npos)
+      << json;
+}
+
 // ---------------------------------------------------------------------------
 // Schema determinism: a native (TSC) run and a simulator (virtual) run must
 // produce attribution JSON with the same structure — same schema marker,

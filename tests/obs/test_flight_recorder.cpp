@@ -73,6 +73,18 @@ TEST(FlightRecorder, RendersSelfContainedJson) {
   EXPECT_NE(json.find("\"kind\":\"budget-overrun\""), std::string::npos);
 }
 
+TEST(FlightRecorder, ControlCharactersInThreadNamesStayValidJson) {
+  FlightRecorderOptions options;
+  options.enabled = true;
+  FlightRecorder recorder(options, "virtual");
+  recorder.register_thread("tab\there\rcr\x01soh")->record(ev(1));
+  const std::string json = recorder.render_json("escape");
+  EXPECT_TRUE(rtseed::test::JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"name\":\"tab\\there\\rcr\\u0001soh\""),
+            std::string::npos)
+      << json;
+}
+
 TEST(FlightRecorder, TriggerWritesFilesAndRateLimits) {
   FlightRecorderOptions options;
   options.enabled = true;

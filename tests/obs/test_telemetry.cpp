@@ -112,9 +112,6 @@ TEST(Telemetry, EnabledRuntimeEmitsEventsAndMetrics) {
       prom.find(
           "rtseed_overhead_nanoseconds_count{task=\"tau1\",delta=\"e\"}"),
       std::string::npos);
-
-  // The summary renders without touching the live rings.
-  EXPECT_FALSE(runtime.telemetry()->summary().empty());
 }
 
 TEST(Telemetry, SnapshotAccumulatesAcrossCalls) {
