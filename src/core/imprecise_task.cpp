@@ -175,7 +175,8 @@ void ImpreciseTask::mandatory_loop() {
     }
   }
 
-  rt::PeriodicClock clock(config_.params.period, options_.initial_offset);
+  rt::PeriodicClock clock(config_.params.period, options_.initial_offset,
+                          /*early_wake=*/placement_.exclusive_processor);
   clock.start();
 
   // num_jobs counts EXECUTED jobs (the paper: "the number of jobs

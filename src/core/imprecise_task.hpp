@@ -49,6 +49,12 @@ struct TaskPlacement {
   int mandatory_priority = 0;       ///< SCHED_FIFO [50,98] (99 = HPQ); 0 = best-effort
   int optional_priority = 0;        ///< mandatory − 49; 0 = best-effort
   Nanos optional_deadline_offset = 0;  ///< ODᵢ relative to release
+  /// No other task's mandatory thread shares `processor`.  Enables the
+  /// periodic clock's early release wake (rt::PeriodicClock): its
+  /// pre-release spin is execution the analysis does not count, so it is
+  /// allowed only where it cannot delay another task's mandatory or
+  /// wind-up part.
+  bool exclusive_processor = false;
 };
 
 struct TaskRuntimeOptions {

@@ -7,6 +7,7 @@
 
 #include "common/rt_logger.hpp"
 #include "fault/injector.hpp"
+#include "rt/cpuset.hpp"
 #include "rt/futex.hpp"
 #include "rt/periodic_clock.hpp"
 
@@ -14,15 +15,20 @@ namespace rtseed::core {
 
 namespace {
 
-// Bounded adaptive spin before committing to a sleep.  Sized to cover the
-// back-to-back-round gap (a few µs of mandatory-thread work) without
-// burning a visible slice of a part's budget: ~2k PAUSE iterations is
-// single-digit microseconds on current x86.
+// Bounded adaptive spins before committing to a sleep.  One iteration is
+// a PAUSE plus a load: 4096 of them measured about 70 µs (~17 ns each) on
+// a 4-vCPU Sapphire Rapids-class Xeon KVM guest, so the worker spin below
+// is ~35 µs.
 //
 // Spinning only pays when the thread we are waiting on can run
-// CONCURRENTLY: on a single-CPU host every spin iteration steals the one
-// core the peer needs to produce the value we are polling, so both spins
-// collapse to zero there (park immediately, like the condvar path).
+// CONCURRENTLY.  The completion spin follows completion_spin_allowed():
+// the mandatory thread outranks its optional parts, so a spin on the CPU
+// of a part it signalled only holds that part off its core.  The worker
+// spin is gated on the host alone (none on a single-CPU host) and stays on
+// beside a co-located caller: it runs below the caller's priority, costs
+// it nothing, and keeps that CPU out of the idle state, so the completion
+// wake that ends the caller's park takes no idle exit (gating it too
+// doubled the completion wake on oms_gateway, 10 → 21 µs).
 constexpr int kWorkerSpinIters = 2048;
 constexpr int kCompletionSpinIters = 4096;
 
@@ -32,17 +38,20 @@ int worker_spin_iters() {
   return iters;
 }
 
-int completion_spin_iters() {
-  static const int iters =
-      rt::rt_capabilities().num_cpus > 1 ? kCompletionSpinIters : 0;
-  return iters;
-}
-
 constexpr std::uint32_t completion_count(std::uint32_t word) {
   return word & ~(1u << 31);
 }
 
 }  // namespace
+
+bool completion_spin_allowed(std::span<const common::CpuId> part_cpus,
+                             int count, common::CpuId caller_cpu) {
+  const int signalled = std::min(count, static_cast<int>(part_cpus.size()));
+  for (int k = 0; k < signalled; ++k) {
+    if (part_cpus[static_cast<std::size_t>(k)] == caller_cpu) return false;
+  }
+  return true;
+}
 
 const char* wake_backend_name(WakeBackend backend) {
   switch (backend) {
@@ -255,10 +264,14 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
     }
   };
   if (backend_ != WakeBackend::kCondvar) {
-    if (!wait_completion_word(force_deadline)) {
+    const int spin_iters =
+        completion_spin_allowed(options_.cpus, count, rt::current_cpu())
+            ? kCompletionSpinIters
+            : 0;
+    if (!wait_completion_word(force_deadline, spin_iters)) {
       force_parts(count);
-      while (!wait_completion_word(common::monotonic_now() +
-                                   kRecoveryRetryInterval)) {
+      while (!wait_completion_word(
+          common::monotonic_now() + kRecoveryRetryInterval, spin_iters)) {
         rewake_unconsumed();
       }
     }
@@ -288,12 +301,11 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
   return result;
 }
 
-bool OptionalPool::wait_completion_word(Nanos abs_deadline) {
-  // Adaptive spin first: with short parts (back-to-back bench rounds) the
+bool OptionalPool::wait_completion_word(Nanos abs_deadline, int spins) {
+  // Adaptive spin first (when allowed): with short parts on other CPUs the
   // countdown hits zero while we are still here and the whole round
   // completes without ANY completion syscall on either side (the workers
   // skip their wake because the waiter bit is unset).
-  int spins = completion_spin_iters();
   for (;;) {
     const std::uint32_t word = remaining_.load(std::memory_order_acquire);
     if (completion_count(word) == 0) return true;

@@ -28,14 +28,22 @@
 //     impossible: a worker that reads the new generation must also see
 //     its command, and a worker that read the old generation is caught by
 //     the kernel's word revalidation at FUTEX_WAIT entry.  Recovery and
-//     shutdown reuse the same single batched wake.  Round completion is a
-//     single atomic countdown whose last decrementer issues at most one
-//     wake of the mandatory thread; the timeout/forcing path waits on an
-//     absolute CLOCK_MONOTONIC deadline (FUTEX_WAIT_BITSET).  Forcing
-//     stragglers is lock-free: each slot owns an atomic force flag that
-//     the part's StopToken observes (StopToken::bind_force_flag), so the
-//     mandatory thread writes a stable flag instead of dereferencing a
-//     pointer into the worker's stack.
+//     shutdown reuse the same single batched wake.
+//
+//     Round completion is a single atomic countdown whose last
+//     decrementer issues at most one wake of the mandatory thread.  The
+//     mandatory thread spins on the countdown only when no part it
+//     signalled is pinned to its own CPU (completion_spin_allowed): such
+//     a part runs below the mandatory priority and cannot start while the
+//     caller spins, so the caller parks at once instead (waiter bit set)
+//     and the part's completion wakes it.  On a single-CPU host every part
+//     shares the caller's CPU, so the wait always parks there.  The
+//     timeout/forcing path waits on an absolute CLOCK_MONOTONIC deadline
+//     (FUTEX_WAIT_BITSET).  Forcing stragglers is lock-free: each slot
+//     owns an atomic force flag that the part's StopToken observes
+//     (StopToken::bind_force_flag), so the mandatory thread writes a
+//     stable flag instead of dereferencing a pointer into the worker's
+//     stack.
 //
 //   kCondvar — the paper-verbatim per-slot mutex+condvar protocol, kept
 //     compiled as the A/B baseline, with its timed wait fixed to run on
@@ -54,6 +62,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +94,14 @@ const char* wake_backend_name(WakeBackend backend);
 /// logs one warning naming the accepted values and falls back to
 /// kFutexBatch.  Explicit requests pass through untouched.
 WakeBackend resolve_wake_backend(WakeBackend requested);
+
+/// Completion-wait rule of the kFutexBatch backend: the caller may spin on
+/// the round countdown only when none of the parts it signalled this
+/// round — parts [0, count) of `part_cpus` — is pinned to `caller_cpu`.
+/// A co-located part runs below the caller's priority, so spinning there
+/// only delays the part being waited for.
+bool completion_spin_allowed(std::span<const common::CpuId> part_cpus,
+                             int count, common::CpuId caller_cpu);
 
 class OptionalPool : public fault::SupervisedPool {
  public:
@@ -254,9 +271,10 @@ class OptionalPool : public fault::SupervisedPool {
   /// counters.  Shared by both backends.
   void execute_part(Slot& slot, int part, const JobContext& job,
                     obs::TraceBuffer* trace);
-  /// Waits for the round countdown to hit zero (kFutexBatch backend);
-  /// abs_deadline < 0 waits forever.  False iff the deadline passed first.
-  bool wait_completion_word(Nanos abs_deadline);
+  /// Waits for the round countdown to hit zero (kFutexBatch backend),
+  /// polling it up to `spins` times before parking; abs_deadline < 0
+  /// waits forever.  False iff the deadline passed first.
+  bool wait_completion_word(Nanos abs_deadline, int spins);
   /// Raises the force flags of parts [0, count) — lock-free.
   void force_parts(int count);
 

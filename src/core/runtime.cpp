@@ -1,5 +1,6 @@
 #include "core/runtime.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/rt_logger.hpp"
@@ -81,6 +82,11 @@ common::Status Runtime::start() {
     placement.mandatory_priority = task_plan.mandatory_priority;
     placement.optional_priority = task_plan.optional_priority;
     placement.optional_deadline_offset = task_plan.optional_deadline;
+    placement.exclusive_processor =
+        std::count_if(plan->tasks.begin(), plan->tasks.end(),
+                      [&](const sched::TaskPlan& other) {
+                        return other.processor == task_plan.processor;
+                      }) == 1;
 
     TaskRuntimeOptions rt_options;
     rt_options.termination = options_.termination;

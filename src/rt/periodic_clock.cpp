@@ -1,10 +1,12 @@
 #include "rt/periodic_clock.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <ctime>
 
 #include "fault/injector.hpp"
+#include "rt/futex.hpp"
 
 namespace rtseed::rt {
 
@@ -21,8 +23,17 @@ void sleep_for(Nanos duration) {
   sleep_until(common::monotonic_now() + duration);
 }
 
-PeriodicClock::PeriodicClock(Nanos period, Nanos initial_offset)
-    : period_(period), initial_offset_(initial_offset) {
+void WakeLead::observe(Nanos lateness) {
+  const Nanos sample = std::clamp<Nanos>(lateness, 0, cap_ / 2);
+  average_ += (sample - average_) / 8;
+}
+
+PeriodicClock::PeriodicClock(Nanos period, Nanos initial_offset,
+                             bool early_wake)
+    : period_(period),
+      initial_offset_(initial_offset),
+      early_wake_(early_wake),
+      lead_(period) {
   assert(period > 0);
 }
 
@@ -34,7 +45,7 @@ void PeriodicClock::start() {
   started_ = true;
 }
 
-void PeriodicClock::sleep_until_checked(Nanos abs_time) {
+Nanos PeriodicClock::sleep_until_checked(Nanos abs_time) {
   for (;;) {
     // Chaos: the sleep returns early, as a mis-programmed timer or a
     // stepped clock would make it.
@@ -46,7 +57,8 @@ void PeriodicClock::sleep_until_checked(Nanos abs_time) {
     }
     // An early return must never release a job before its time: count the
     // anomaly and go back to sleep for the remainder.
-    if (common::monotonic_now() >= abs_time) return;
+    const Nanos now = common::monotonic_now();
+    if (now >= abs_time) return now;
     ++clock_anomalies_;
   }
 }
@@ -60,7 +72,15 @@ Nanos PeriodicClock::wait_next_release() {
     ++job_index_;
     ++overruns_;
   }
-  if (next_release_ > now) sleep_until_checked(next_release_);
+  if (next_release_ > now) {
+    if (early_wake_) {
+      const Nanos target = next_release_ - lead_.lead();
+      if (target > now) lead_.observe(sleep_until_checked(target) - target);
+      while (common::monotonic_now() < next_release_) cpu_relax();
+    } else {
+      sleep_until_checked(next_release_);
+    }
+  }
   current_release_ = next_release_;
   next_release_ += period_;
   ++job_index_;

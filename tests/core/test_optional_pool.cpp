@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/rt_logger.hpp"
 
@@ -188,6 +189,37 @@ TEST(OptionalPool, UnknownWakeBackendEnvFallsBackToBatchWithWarning) {
   } else {
     ::unsetenv("RTSEED_WAKE_BACKEND");
   }
+}
+
+// The completion-wait spin rule is a pure function of the round's part
+// CPUs and the caller's CPU; the pool applies it once per round.
+TEST(CompletionSpinRule, CoLocatedPartMeansNoSpin) {
+  const std::vector<common::CpuId> cpus{2, 3, 1};
+  EXPECT_FALSE(completion_spin_allowed(cpus, 3, 2));
+  EXPECT_FALSE(completion_spin_allowed(cpus, 3, 1));
+}
+
+TEST(CompletionSpinRule, AllRemotePartsMeanSpin) {
+  const std::vector<common::CpuId> cpus{1, 2, 3};
+  EXPECT_TRUE(completion_spin_allowed(cpus, 3, 0));
+}
+
+TEST(CompletionSpinRule, SingleCpuTopologyNeverSpins) {
+  // Every part wraps onto the one CPU the caller runs on.
+  const auto cpus = assign_optional_parts(common::Topology::uniform(1, 1),
+                                          AssignmentPolicy::kOneByOne, 4);
+  for (int count = 1; count <= 4; ++count) {
+    EXPECT_FALSE(completion_spin_allowed(cpus, count, 0)) << count;
+  }
+}
+
+TEST(CompletionSpinRule, ShedRoundSpinsWhenCoLocatedPartIsNotSignalled) {
+  // Part 1 shares the caller's CPU, but a round shed to one part never
+  // signals it.
+  const std::vector<common::CpuId> cpus{1, 0};
+  EXPECT_TRUE(completion_spin_allowed(cpus, 1, 0));
+  EXPECT_FALSE(completion_spin_allowed(cpus, 2, 0));
+  EXPECT_TRUE(completion_spin_allowed(cpus, 0, 0));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "common/time.hpp"
 #include "core/optional_pool.hpp"
+#include "rt/cpuset.hpp"
 #include "rt/futex.hpp"
 
 using namespace rtseed;
@@ -148,6 +149,62 @@ TEST_P(WakeProtocol, DegenerateCounts) {
   const auto clamped =
       pool.run_round(job_at(1, common::seconds(1)), kPoolSize + 3);
   EXPECT_EQ(clamped.completed + clamped.terminated, kPoolSize);
+}
+
+// The caller pinned to part 0's CPU: every round signals a part that
+// shares the caller's CPU, so the completion wait parks at once and every
+// round ends on the waiter-bit wake.  Random round sizes, and shutdown
+// racing workers that are mid-spin or mid-park after a random number of
+// rounds.
+TEST_P(WakeProtocol, CoLocatedCallerStress) {
+  const auto allowed = rt::get_current_affinity();
+  ASSERT_TRUE(allowed.has_value());
+  std::vector<common::CpuId> usable;
+  for (common::CpuId cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (allowed->contains(cpu)) usable.push_back(cpu);
+  }
+  ASSERT_FALSE(usable.empty());
+  core::OptionalPool::Options options = stress_options(GetParam());
+  for (int k = 0; k < kPoolSize; ++k) {
+    options.cpus[static_cast<size_t>(k)] =
+        usable[static_cast<size_t>(k) % usable.size()];
+  }
+  const common::CpuId home = options.cpus[0];
+  if (!rt::set_current_affinity(rt::CpuSet::single(home)).is_ok()) {
+    GTEST_SKIP() << "cannot pin the calling thread";
+  }
+  struct RestoreAffinity {
+    const rt::CpuSet& mask;
+    ~RestoreAffinity() { (void)rt::set_current_affinity(mask); }
+  } restore{*allowed};
+
+  std::atomic<long> bodies_run{0};
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<int> pick_count(1, kPoolSize);
+  std::uniform_int_distribution<int> pick_rounds(0, 200);
+  long signalled = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    core::OptionalPool pool(
+        options,
+        [&bodies_run](const core::JobContext&, int, core::StopToken&) {
+          bodies_run.fetch_add(1, std::memory_order_relaxed);
+        });
+    ASSERT_TRUE(pool.start().is_ok());
+    const int rounds = pick_rounds(rng);
+    for (int round = 0; round < rounds; ++round) {
+      const int count = pick_count(rng);
+      ASSERT_EQ(rt::current_cpu(), home);
+      ASSERT_FALSE(core::completion_spin_allowed(options.cpus, count, home));
+      const auto result =
+          pool.run_round(job_at(round, common::seconds(5)), count);
+      ASSERT_EQ(result.completed + result.terminated, count)
+          << "cycle " << cycle << " round " << round << " lost a part";
+      signalled += count;
+    }
+    pool.shutdown();  // must terminate: a hang here IS the failure
+    EXPECT_EQ(pool.body_errors(), 0);
+  }
+  EXPECT_EQ(bodies_run.load(std::memory_order_relaxed), signalled);
 }
 
 // Many rounds of maximum fan-out on the batched backend: with all workers
