@@ -14,6 +14,13 @@
 // once (exactly one participant, before any attach()), attach() validates
 // the embedded header and wires pointers.  All methods after that are
 // lock-free and allocation-free.
+//
+// acquire() and release() are one CAS on the head word each and touch no
+// other shared word: a producer process acquiring while a consumer
+// process releases contends on that one line only.  There is no in-use
+// counter to keep in step; in_use_approx() walks the free list instead.
+// A consumer that frees a batch links it into one chain and pushes it
+// with a single CAS (release_n).
 #pragma once
 
 #include <atomic>
@@ -87,8 +94,17 @@ class ShmMessagePool {
 
   bool valid() const { return header_ != nullptr; }
   usize capacity() const { return header_->capacity; }
+  /// Cells not on the free list.  Walks the list (O(capacity)): exact
+  /// when no acquire/release runs concurrently, an estimate otherwise.
+  /// Diagnostics and tests only.
   usize in_use_approx() const {
-    return static_cast<usize>(header_->in_use.load(std::memory_order_relaxed));
+    usize free = 0;
+    Index idx = index_part(header_->head.load(std::memory_order_acquire));
+    while (idx != kInvalidIndex && free < header_->capacity) {
+      ++free;
+      idx = cells_[idx].next.load(std::memory_order_relaxed);
+    }
+    return header_->capacity - free;
   }
   u64 exhausted() const {
     return header_->exhausted.load(std::memory_order_relaxed);
@@ -101,20 +117,28 @@ class ShmMessagePool {
       header_->exhausted.fetch_add(1, std::memory_order_relaxed);
       return nullptr;
     }
-    header_->in_use.fetch_add(1, std::memory_order_relaxed);
     return &cells_[idx].value;
   }
 
   void release(T* msg) {
     assert(msg != nullptr);
-    push_free(index_of(msg));
-    header_->in_use.fetch_sub(1, std::memory_order_relaxed);
+    push_chain(index_of(msg), index_of(msg));
   }
 
   void release_index(Index idx) {
     assert(idx < header_->capacity);
-    push_free(idx);
-    header_->in_use.fetch_sub(1, std::memory_order_relaxed);
+    push_chain(idx, idx);
+  }
+
+  /// Releases msgs[0..n) with one CAS: the cells are linked into a chain
+  /// (msgs[0] ends up at the head) and the chain is pushed whole.
+  void release_n(T* const* msgs, usize n) {
+    if (n == 0) return;
+    for (usize i = 0; i + 1 < n; ++i) {
+      cells_[index_of(msgs[i])].next.store(index_of(msgs[i + 1]),
+                                           std::memory_order_relaxed);
+    }
+    push_chain(index_of(msgs[0]), index_of(msgs[n - 1]));
   }
 
   Index index_of(const T* msg) const {
@@ -145,8 +169,7 @@ class ShmMessagePool {
     u64 element_size = 0;
     unsigned char pad0_[kCacheLine - 3 * sizeof(u64)];
     alignas(kCacheLine) std::atomic<u64> head{pack(0, kInvalidIndex)};
-    alignas(kCacheLine) std::atomic<i64> in_use{0};
-    std::atomic<u64> exhausted{0};
+    alignas(kCacheLine) std::atomic<u64> exhausted{0};
   };
   static_assert(sizeof(Header) == 3 * kCacheLine,
                 "pool header = id line + head line + counter line");
@@ -171,12 +194,13 @@ class ShmMessagePool {
     }
   }
 
-  void push_free(Index idx) {
+  /// Pushes the chain first → ... → last (already linked) in one CAS.
+  void push_chain(Index first, Index last) {
     u64 head = header_->head.load(std::memory_order_relaxed);
     for (;;) {
-      cells_[idx].next.store(index_part(head), std::memory_order_relaxed);
+      cells_[last].next.store(index_part(head), std::memory_order_relaxed);
       if (header_->head.compare_exchange_weak(
-              head, pack(tag_part(head) + 1, idx), std::memory_order_acq_rel,
+              head, pack(tag_part(head) + 1, first), std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
         return;
       }

@@ -168,13 +168,16 @@ class ShmSpscRing {
   //
   // The seq_cst fence in notify_hint() against the seq_cst park() store
   // closes the lost-wake window: either the consumer's recheck sees the
-  // new head, or the producer sees parked == 1 and rings.
+  // new head, or the producer sees parked == 1 and rings.  The producer
+  // clears the flag as it rings, so one park costs at most one wake: the
+  // posts that follow before the woken consumer runs see parked == 0.
 
   /// Producer side: true when a parked consumer needs a wake (the ding
   /// word was bumped).  Call only after a successful try_push.
   bool notify_hint() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (header_->bell.parked.load(std::memory_order_relaxed) == 0) {
+    if (header_->bell.parked.load(std::memory_order_relaxed) == 0 ||
+        header_->bell.parked.exchange(0, std::memory_order_relaxed) == 0) {
       return false;
     }
     header_->bell.ding.fetch_add(1, std::memory_order_release);

@@ -17,8 +17,8 @@ namespace {
 
 // Bounded adaptive spins before committing to a sleep.  One iteration is
 // a PAUSE plus a load: 4096 of them measured about 70 µs (~17 ns each) on
-// a 4-vCPU Sapphire Rapids-class Xeon KVM guest, so the worker spin below
-// is ~35 µs.
+// a 4-vCPU Sapphire Rapids-class Xeon KVM guest, so the worker spin
+// (rt::worker_spin_iters()) is ~35 µs.
 //
 // Spinning only pays when the thread we are waiting on can run
 // CONCURRENTLY.  The completion spin follows completion_spin_allowed():
@@ -29,14 +29,7 @@ namespace {
 // it nothing, and keeps that CPU out of the idle state, so the completion
 // wake that ends the caller's park takes no idle exit (gating it too
 // doubled the completion wake on oms_gateway, 10 → 21 µs).
-constexpr int kWorkerSpinIters = 2048;
 constexpr int kCompletionSpinIters = 4096;
-
-int worker_spin_iters() {
-  static const int iters =
-      rt::rt_capabilities().num_cpus > 1 ? kWorkerSpinIters : 0;
-  return iters;
-}
 
 constexpr std::uint32_t completion_count(std::uint32_t word) {
   return word & ~(1u << 31);
@@ -341,7 +334,7 @@ void OptionalPool::force_parts(int count) {
 std::uint32_t OptionalPool::wait_for_command(Slot& slot) {
   for (;;) {
     std::uint32_t cmd = slot.cmd.load(std::memory_order_acquire);
-    for (int spins = worker_spin_iters(); cmd == kCmdIdle && spins > 0;
+    for (int spins = rt::worker_spin_iters(); cmd == kCmdIdle && spins > 0;
          --spins) {
       rt::cpu_relax();
       cmd = slot.cmd.load(std::memory_order_acquire);

@@ -93,6 +93,9 @@ u32 BitmapBook::acquire_slot() {
   if (free_head_ == kNil) return kNil;
   const u32 slot = free_head_;
   free_head_ = cells_[slot].next;
+  // Released slots sit ahead of the pristine tail on the LIFO free list,
+  // so the tail is only reached when they are all in use again.
+  if (slot >= high_water_) high_water_ = slot + 1;
   ++open_orders_;
   return slot;
 }
@@ -518,6 +521,23 @@ bool BitmapBook::check_invariants(char* why, usize why_len) const {
   if (free_count + open_orders_ != config_.max_orders) {
     return fail("slot leak: %zu free + %zu open != %zu", free_count,
                 open_orders_, config_.max_orders);
+  }
+
+  // Slots never handed out are exactly as the constructor left them:
+  // what lets a snapshot stop at the high-water mark.
+  if (high_water_ > config_.max_orders) {
+    return fail("high water %u > max orders %zu", high_water_,
+                config_.max_orders);
+  }
+  for (usize i = high_water_; i < config_.max_orders; ++i) {
+    const OrderCell& c = cells_[i];
+    const u32 next = i + 1 < config_.max_orders ? static_cast<u32>(i + 1) : kNil;
+    if (c.price != 0 || c.open != 0 || c.seq != 0 || c.cookie != 0 ||
+        c.prev != kNil || c.next != next || c.gen != 1 ||
+        c.side_and_open != 0) {
+      return fail("cell %zu above high water %u is not pristine", i,
+                  high_water_);
+    }
   }
   return true;
 }

@@ -112,16 +112,26 @@ class BitmapBook {
 
   // ---- snapshot / restore (crash recovery; lob/snapshot.cpp) -------------
   //
-  // save_snapshot() serializes the COMPLETE book state — the raw order
-  // table (open cells, free-list links, generations) plus every scalar —
-  // and restore_snapshot() rebuilds the level lists and bitmaps from the
-  // cell links.  A restored book is bit-identical to the source: same
-  // digest, same future slot-allocation order, same seqs.  That is the
-  // property the journaled shard worker needs — replaying deltas on a
-  // restored book reproduces the pre-crash book exactly.
+  // save_snapshot() serializes the COMPLETE book state — the live prefix
+  // of the order table (open cells, free-list links, generations) plus
+  // every scalar — and restore_snapshot() rebuilds the level lists and
+  // bitmaps from the cell links.  A restored book is bit-identical to the
+  // source: same digest, same future slot-allocation order, same seqs.
+  // That is the property the journaled shard worker needs — replaying
+  // deltas on a restored book reproduces the pre-crash book exactly.
+  //
+  // The prefix is the slots below high_water(): the free list is LIFO
+  // and starts as 0, 1, 2, ..., so every slot at or above the mark has
+  // never been handed out and is still pristine (gen 1, next = i + 1).
+  // The image is therefore sized by the most orders ever open at once,
+  // not by max_orders.
 
-  /// Bytes save_snapshot() writes for this book's config.
+  /// Slots ever handed out: every cell at or above is pristine.
+  usize high_water() const { return high_water_; }
+  /// Bytes the next save_snapshot() writes (grows with high_water()).
   usize snapshot_bytes() const;
+  /// Bytes any save_snapshot() of this config can write (buffer sizing).
+  usize max_snapshot_bytes() const;
   /// Serializes into `out` (>= snapshot_bytes()); returns bytes written,
   /// 0 when `cap` is too small.
   usize save_snapshot(void* out, usize cap) const;
@@ -135,7 +145,8 @@ class BitmapBook {
   u64 digest() const;
 
   /// Full structural audit — bitmap↔list consistency, FIFO seq order,
-  /// qty conservation, best-level caches, uncrossed top.  Returns true
+  /// qty conservation, best-level caches, uncrossed top, free-list
+  /// accounting, pristine cells above high_water().  Returns true
   /// when every invariant holds; otherwise writes a description of the
   /// first violation into `why` (when non-null).  O(book size): tests
   /// only.
@@ -202,6 +213,7 @@ class BitmapBook {
 
   common::AlignedArrayPtr<OrderCell> cells_;
   u32 free_head_ = kNil;
+  u32 high_water_ = 0;  ///< slots [high_water_, max_orders) never acquired
   usize open_orders_ = 0;
   Qty side_qty_[2] = {0, 0};
   u64 next_seq_ = 0;

@@ -1,6 +1,7 @@
 #include "rt/futex.hpp"
 
 #include "fault/injector.hpp"
+#include "rt/thread.hpp"
 
 #if defined(__linux__) && !defined(RTSEED_PORTABLE_WAIT)
 #define RTSEED_FUTEX_NATIVE 1
@@ -36,6 +37,11 @@ inline void count_sleep() {
 }
 
 }  // namespace
+
+int worker_spin_iters() {
+  static const int iters = rt_capabilities().num_cpus > 1 ? 2048 : 0;
+  return iters;
+}
 
 WakeStats wake_stats() {
   WakeStats stats;

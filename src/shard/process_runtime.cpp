@@ -56,8 +56,10 @@ ProcessShardRuntime::create(ProcessRuntimeOptions options) {
         "process shards run UNJOURNALED (no journal_dir / "
         "RTSEED_JOURNAL_DIR): a crash loses that shard's book state");
   }
-  // Children must sleep on doorbells, and a stale fd from a previous
-  // incarnation must not alias this one's state.
+  // Children poll briefly and then park on the ring doorbell when their
+  // ingress runs dry (ShardTransport::wait_ingress), so posts must ring
+  // it; and a stale fd from a previous incarnation must not alias this
+  // one's state.
   options.transport.doorbell = true;
   if (options.transport.epoch <= 1) {
     static std::atomic<u64> g_instance{0};
@@ -153,8 +155,9 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
                        std::memory_order_release);
 
   // One group commit: peek what is queued, journal + apply it as a
-  // batch, then consume the ring slots and free the cells (DESIGN.md
-  // §14.2).  Returns the number of messages taken off the ring.
+  // batch, then consume the ring slots and free the cells with one CAS
+  // on the pool's free list (DESIGN.md §14.2).  Returns the number of
+  // messages taken off the ring.
   ShardMessage* batch[ShardWorker::kMaxBatch];
   const auto serve_batch = [&]() -> usize {
     const usize n = transport_->peek_ingress_n(shard, batch);
@@ -172,7 +175,7 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
     }
     worker->apply_batch(batch, n);  // WAL inside: journal, then book
     transport_->commit_ingress_n(shard, n);
-    for (usize i = 0; i < n; ++i) transport_->release(batch[i]);
+    transport_->release_n(batch, n);
     return n;
   };
 
@@ -222,6 +225,8 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
           every != 0 && worker->deltas_applied() / every != before / every;
       worker->publish(control, digest_now);
     } else {
+      // Polls first after a served batch; parks for at most drain_slice,
+      // so the heartbeat and the SIGTERM flag are still seen each slice.
       (void)transport_->wait_ingress(
           shard, common::monotonic_now() + options_.drain_slice);
     }

@@ -65,9 +65,9 @@ struct FailoverWindow {
 
 struct ProcessRuntimeOptions {
   int num_shards = 2;
-  /// Transport shape.  doorbell is forced on (children sleep between
-  /// messages); epoch defaults to the parent pid so a stale fd from a
-  /// previous incarnation cannot alias.
+  /// Transport shape.  doorbell is forced on (an idle child parks on it
+  /// after a bounded poll); epoch defaults to the parent pid so a stale
+  /// fd from a previous incarnation cannot alias.
   TransportOptions transport;
   /// Per-shard worker template; journal_path is derived per shard as
   /// <journal_dir>/shard-<i>.journal (an explicit path is an error —
@@ -76,7 +76,7 @@ struct ProcessRuntimeOptions {
   /// Directory for journals; "" reads RTSEED_JOURNAL_DIR, and "" there
   /// too runs every shard UNJOURNALED (crash loses state — loud in logs).
   std::string journal_dir;
-  /// How long a child sleeps on the doorbell per empty iteration.
+  /// How long a child parks on the doorbell per empty iteration.
   Nanos drain_slice = common::millis(1);
   /// Publish the (O(book)) digest every this many applied deltas; it is
   /// also published on request and at clean exit.

@@ -22,21 +22,26 @@
 //
 //   [common::SegmentHeader]   magic/layout/size/epoch + torn-write marker
 //   [ShardControl × S]        per-shard heartbeat & progress words
+//   [IngressWaiter × S]       per-shard consumer wait state + counters
 //   [drop-counter line]       ingress/egress drop totals
 //   [ShmMessagePool region]   header + message cells
 //   [ingress ring 0][egress ring 0][ingress ring 1][egress ring 1]...
 //
 // Consumers that want to SLEEP between messages (worker processes, not
 // the in-process polling runtimes) use the ring doorbells through
-// wait_ingress()/drain(): cross-process futex waits with EINTR retry and
-// a bounded absolute deadline — a stray signal (the supervisor's SIGTERM
-// probe, a profiler) can never silently abort a drain loop.
+// wait_ingress(): cross-process futex waits with EINTR retry and a
+// bounded absolute deadline — a stray signal (the supervisor's SIGTERM
+// probe, a profiler) can never silently abort a drain loop.  The first
+// wait after the consumer took messages polls the ring for
+// rt::worker_spin_iters() PAUSEs before it parks, so a stream with short
+// gaps is served without a doorbell wake; a wait that timed out parks
+// again at once, so an idle consumer does not spin (DESIGN.md §14.2).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "common/inplace_function.hpp"
+#include "common/cacheline.hpp"
 #include "common/shm.hpp"
 #include "common/shm_pool.hpp"
 #include "common/shm_ring.hpp"
@@ -88,6 +93,17 @@ struct alignas(common::kCacheLine) ShardControl {
 static_assert(sizeof(ShardControl) == common::kCacheLine,
               "one line per shard: heartbeat polling never falsely shares");
 
+/// One cache line of ingress-wait state per shard, written only by that
+/// shard's consumer (ShardTransport::wait_ingress): whether its next wait
+/// polls before parking, and what its waits did.
+struct alignas(common::kCacheLine) IngressWaiter {
+  std::atomic<bool> spin_armed{false};
+  std::atomic<common::u64> spins{0};
+  std::atomic<common::u64> spin_hits{0};
+  std::atomic<common::u64> parks{0};
+};
+static_assert(sizeof(IngressWaiter) == common::kCacheLine);
+
 struct TransportOptions {
   usize pool_capacity = 4096;  ///< in-flight message cells, all shards
   usize ring_capacity = 1024;  ///< slots per direction per shard (pow2)
@@ -104,7 +120,7 @@ class ShardTransport {
  public:
   /// Layout schema stamped into the segment header; bump when the
   /// on-segment layout changes incompatibly.
-  static constexpr common::u64 kLayoutVersion = 2;
+  static constexpr common::u64 kLayoutVersion = 3;
 
   /// Creates the segment and formats every structure in it.
   static common::Expected<std::unique_ptr<ShardTransport>> create(
@@ -144,6 +160,10 @@ class ShardTransport {
 
   /// Returns a cell without sending it (e.g. routing failed).
   void release(ShardMessage* msg) { pool_.release(msg); }
+  /// Returns msgs[0..n) with one CAS on the pool's free list.
+  void release_n(ShardMessage* const* msgs, usize n) {
+    pool_.release_n(msgs, n);
+  }
 
   /// Queues `msg` on `shard`'s ingress ring.  On a full ring the cell is
   /// released and the drop counted; false is returned.  The caller gives
@@ -155,7 +175,9 @@ class ShardTransport {
   /// Pops the next ingress message for `shard`; nullptr when empty.  The
   /// consumer reads in place, then release()s.  Wait-free.
   ShardMessage* poll(int shard) {
-    return receive(ingress_[static_cast<usize>(shard)]);
+    ShardMessage* msg = receive(ingress_[static_cast<usize>(shard)]);
+    if (msg != nullptr) arm_spin(shard);
+    return msg;
   }
 
   /// Write-ahead consumer pair: peek_ingress_n() exposes up to N queued
@@ -172,19 +194,26 @@ class ShardTransport {
   }
   void commit_ingress_n(int shard, usize n) {
     ingress_[static_cast<usize>(shard)].commit_pop_n(n);
+    arm_spin(shard);
   }
 
-  /// Blocks (doorbell futex, EINTR-retried) until `shard`'s ingress ring
-  /// is non-empty or the absolute CLOCK_MONOTONIC deadline passes.
-  /// Returns true when a message is available.
+  /// Blocks until `shard`'s ingress ring is non-empty or the absolute
+  /// CLOCK_MONOTONIC deadline passes; true when a message is available.
+  /// When the consumer took messages (poll/commit_ingress_n) since
+  /// its previous wait, the ring is first polled for
+  /// rt::worker_spin_iters() PAUSEs; then the consumer parks on the
+  /// doorbell futex (EINTR-retried).  A wait that times out leaves the
+  /// spin disarmed: the next one parks at once.  Consumer side only.
   bool wait_ingress(int shard, Nanos abs_deadline);
 
-  /// Bounded-timeout drain: pops up to `max_messages` ingress messages,
-  /// invoking `fn` on each and releasing the cell afterwards, parking on
-  /// the doorbell while empty.  Returns the number drained.  Safe
-  /// against signals: interrupted waits re-check and re-enter.
-  usize drain(int shard, common::FunctionRef<void(ShardMessage&)> fn,
-              usize max_messages, Nanos abs_deadline);
+  /// What wait_ingress() did on `shard`: the counters live in the shared
+  /// segment, so the parent reads a worker process's too.
+  struct IngressWaitStats {
+    common::u64 spins = 0;      ///< waits that polled before parking
+    common::u64 spin_hits = 0;  ///< ... and found a message while polling
+    common::u64 parks = 0;      ///< doorbell park() calls
+  };
+  IngressWaitStats ingress_wait_stats(int shard) const;
 
   /// Same pair on the egress (shard -> supervisor) direction.
   bool post_result(int shard, ShardMessage* msg) {
@@ -243,6 +272,19 @@ class ShardTransport {
   }
 
   static void wake_ring(IndexRing& ring);
+
+  /// The wait lines sit right after the control lines in the segment.
+  IngressWaiter* waiter(int shard) {
+    return reinterpret_cast<IngressWaiter*>(controls_ + num_shards_) + shard;
+  }
+  const IngressWaiter* waiter(int shard) const {
+    return reinterpret_cast<const IngressWaiter*>(controls_ + num_shards_) +
+           shard;
+  }
+  void arm_spin(int shard) {
+    waiter(shard)->spin_armed.store(true, std::memory_order_relaxed);
+  }
+
 
   const int num_shards_;
   const TransportOptions options_;

@@ -32,7 +32,7 @@ common::Expected<std::unique_ptr<ShardWorker>> ShardWorker::create(
   std::unique_ptr<ShardWorker> worker(new ShardWorker(config));
   worker->book_ = std::make_unique<lob::BitmapBook>(config.book);
   worker->risk_ = lob::RiskEngine(config.risk);
-  worker->snapshot_buf_bytes_ = worker->book_->snapshot_bytes();
+  worker->snapshot_buf_bytes_ = worker->book_->max_snapshot_bytes();
   worker->snapshot_buf_ =
       std::make_unique<unsigned char[]>(worker->snapshot_buf_bytes_);
   if (!config.journal_path.empty()) {

@@ -7,10 +7,14 @@
 //
 //   peek every queued message (up to kMaxBatch)
 //     → journal all their deltas in one write(2) → apply them in order
-//     → commit the ring slots → release the cells
+//     → commit the ring slots → release the cells (one CAS)
 //
 // plus a full snapshot (book image + risk POD) once snapshot_every
-// deltas have accumulated, so replay cost stays bounded.  Snapshots are
+// deltas have accumulated, so replay cost stays bounded.  The book image
+// holds only the order table's live prefix (BitmapBook::high_water()), so
+// a snapshot costs what the book holds, not what it could hold; the
+// snapshot buffer and the journal's scratch are sized once, for the
+// largest image (max_snapshot_bytes()).  Snapshots are
 // taken only at a batch boundary, after the whole batch is applied: a
 // snapshot written mid-batch would sit in the file AFTER deltas it does
 // not include, and replay would then skip those deltas for good once the

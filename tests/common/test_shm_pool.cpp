@@ -147,5 +147,61 @@ TEST(ShmMessagePool, ConcurrentAcquireReleaseStress) {
   EXPECT_EQ(std::set<Msg*>(all.begin(), all.end()).size(), all.size());
 }
 
+TEST(ShmMessagePool, ReleaseNReturnsTheBatchAsOneChain) {
+  PoolBytes pool(8);
+  std::vector<Msg*> held;
+  for (int i = 0; i < 8; ++i) held.push_back(pool->acquire());
+  EXPECT_EQ(pool->in_use_approx(), 8u);
+  Msg* batch[3] = {held[5], held[1], held[6]};
+  pool->release_n(batch, 3);
+  EXPECT_EQ(pool->in_use_approx(), 5u);
+  pool->release_n(batch, 0);  // an empty batch is a no-op
+  EXPECT_EQ(pool->in_use_approx(), 5u);
+  // LIFO: the chain comes back front first, then the pool is dry again.
+  EXPECT_EQ(pool->acquire(), held[5]);
+  EXPECT_EQ(pool->acquire(), held[1]);
+  EXPECT_EQ(pool->acquire(), held[6]);
+  EXPECT_EQ(pool->acquire(), nullptr);
+}
+
+// One thread frees in batches (the shard worker's release_n) while
+// others acquire and free one by one: the chain push must splice into
+// the free list without losing or duplicating a cell.
+TEST(ShmMessagePool, ConcurrentBatchReleaseStress) {
+  constexpr int kSingles = 2;
+  constexpr int kRounds = 20000;
+  constexpr usize kBatch = 4;
+  PoolBytes pool(16);
+  std::vector<std::thread> workers;
+  workers.emplace_back([&pool] {
+    Msg* batch[kBatch];
+    for (int i = 0; i < kRounds; ++i) {
+      usize n = 0;
+      while (n < kBatch) {
+        Msg* m = pool->acquire();
+        if (m == nullptr) break;  // transient exhaustion is legal
+        batch[n++] = m;
+      }
+      pool->release_n(batch, n);
+    }
+  });
+  for (int t = 0; t < kSingles; ++t) {
+    workers.emplace_back([&pool] {
+      for (int i = 0; i < kRounds; ++i) {
+        if (Msg* m = pool->acquire()) pool->release(m);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(pool->in_use_approx(), 0u);
+  std::vector<Msg*> all;
+  for (usize i = 0; i < pool->capacity(); ++i) {
+    Msg* m = pool->acquire();
+    ASSERT_NE(m, nullptr) << "free list lost a cell at " << i;
+    all.push_back(m);
+  }
+  EXPECT_EQ(std::set<Msg*>(all.begin(), all.end()).size(), all.size());
+}
+
 }  // namespace
 }  // namespace rtseed::common

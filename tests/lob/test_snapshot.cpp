@@ -74,6 +74,68 @@ TEST(BookSnapshot, RestoreIsBitIdenticalAndBehaviourEquivalent) {
   churn(restored, tail_b, 2000);
   EXPECT_EQ(restored.digest(), original.digest());
   EXPECT_EQ(restored.stats().trades, original.stats().trades);
+
+  // Grow both books past the restored high-water mark: the slots the
+  // image did not carry must come out of the re-initialized tail exactly
+  // as they come out of the original's never-touched one.
+  const usize restored_high_water = restored.high_water();
+  ASSERT_EQ(restored_high_water, original.high_water());
+  ASSERT_LT(restored_high_water, config.max_orders);
+  PriceTicks price = 1;
+  for (usize i = 0; i < 4 * config.max_orders &&
+                    restored.high_water() < config.max_orders;
+       ++i, price = price % 8 + 1) {
+    const SubmitResult a = original.add_limit(Side::kBid, price, 1, nullptr);
+    const SubmitResult b = restored.add_limit(Side::kBid, price, 1, nullptr);
+    ASSERT_EQ(a.id.value, b.id.value);
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  EXPECT_GT(restored.high_water(), restored_high_water);
+  EXPECT_TRUE(restored.check_invariants(why, sizeof(why))) << why;
+  EXPECT_EQ(restored.digest(), original.digest());
+  EXPECT_EQ(restored.open_orders(), original.open_orders());
+}
+
+TEST(BookSnapshot, ImageScalesWithHighWater) {
+  BookConfig config;  // the shard worker's default: a 16k-slot table
+  ASSERT_EQ(config.max_orders, 16384u);
+  BitmapBook book(config);
+  EXPECT_EQ(book.high_water(), 0u);
+  // 200 resting orders, bids below asks so nothing crosses.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(book.add_limit(Side::kBid, 1000 - i % 50, 1, nullptr).id.valid());
+    ASSERT_TRUE(book.add_limit(Side::kAsk, 1100 + i % 50, 1, nullptr).id.valid());
+  }
+  ASSERT_EQ(book.open_orders(), 200u);
+  EXPECT_EQ(book.high_water(), 200u);
+  EXPECT_LT(book.snapshot_bytes(), 16u * 1024u);
+  EXPECT_GE(book.max_snapshot_bytes(), config.max_orders * 48u);
+
+  std::vector<unsigned char> image(book.max_snapshot_bytes());
+  const usize written = book.save_snapshot(image.data(), image.size());
+  EXPECT_EQ(written, book.snapshot_bytes());
+  EXPECT_LT(written, 16u * 1024u);
+
+  // Cancels free slots but never lower the mark: the freed cells sit on
+  // the free list inside the prefix.
+  book.cancel(book.front_order(Side::kBid));
+  EXPECT_EQ(book.high_water(), 200u);
+  EXPECT_EQ(book.snapshot_bytes(), written);
+
+  // Restore into a book whose own high-water mark is higher: the cells
+  // between the two marks must come back pristine.
+  BitmapBook restored(config);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(restored.add_limit(Side::kAsk, 2000 + i, 1, nullptr).id.valid());
+  }
+  ASSERT_EQ(restored.high_water(), 300u);
+  ASSERT_TRUE(restored.restore_snapshot(image.data(), written).is_ok());
+  char why[256];
+  EXPECT_TRUE(restored.check_invariants(why, sizeof(why))) << why;
+  EXPECT_EQ(restored.open_orders(), 200u);
+  EXPECT_EQ(restored.high_water(), 200u);
+  // One byte short of the prefix is a truncated image.
+  EXPECT_FALSE(restored.restore_snapshot(image.data(), written - 1).is_ok());
 }
 
 TEST(BookSnapshot, RestoreRejectsWrongConfigAndGarbage) {

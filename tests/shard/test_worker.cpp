@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -244,6 +246,39 @@ std::vector<u64> snapshot_seqs(const std::string& path) {
     in.seekg(header.payload_bytes, std::ios::cur);
   }
   return seqs;
+}
+
+TEST_F(JournaledWorkerTest, FullTableSnapshotImageIsRefusedAndLeftIntact) {
+  WorkerConfig journaled = small_config();
+  journaled.journal_path = dir_ + "/w.journal";
+  {
+    // A digest-valid snapshot frame whose book image is in the full-table
+    // format: magic "RTbookSS", then the shape echo, then every cell.
+    std::vector<unsigned char> image(4096 + 512 * 48, 0);
+    const u64 magic = 0x5254626F'6F6B5353ULL;
+    std::memcpy(image.data(), &magic, sizeof(magic));
+    auto journal = StateJournal::open(journaled.journal_path);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_TRUE(journal
+                    ->append_snapshot(7, image.data(), image.size(),
+                                      lob::RiskEngine::Snapshot{})
+                    .is_ok());
+  }
+  const auto read_all = [&] {
+    std::ifstream in(journaled.journal_path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string before = read_all();
+  ASSERT_FALSE(before.empty());
+
+  auto worker = ShardWorker::create(journaled);
+  ASSERT_TRUE(worker.has_value());
+  auto recovered = (*worker)->recover();
+  ASSERT_FALSE(recovered.has_value());
+  EXPECT_EQ(recovered.status().code(), common::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ((*worker)->applied_seq(), 0u);
+  EXPECT_EQ(read_all(), before);
 }
 
 TEST_F(JournaledWorkerTest, SnapshotsLandOnlyOnBatchBoundaries) {
