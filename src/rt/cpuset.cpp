@@ -39,9 +39,11 @@ common::Status set_current_affinity(const CpuSet& cpus) {
   return common::Status::ok();
 }
 
-common::Expected<CpuSet> get_current_affinity() {
+common::Expected<CpuSet> get_current_affinity() { return get_affinity(0); }
+
+common::Expected<CpuSet> get_affinity(int tid) {
   CpuSet s;
-  if (sched_getaffinity(0, sizeof(cpu_set_t), s.native()) != 0) {
+  if (sched_getaffinity(tid, sizeof(cpu_set_t), s.native()) != 0) {
     return common::unavailable(std::string("sched_getaffinity: ") +
                                std::strerror(errno));
   }

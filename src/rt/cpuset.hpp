@@ -30,6 +30,11 @@ class CpuSet {
   bool contains(CpuId cpu) const { return CPU_ISSET(cpu, &set_); }
   int count() const { return CPU_COUNT(&set_); }
   bool empty() const { return count() == 0; }
+  bool intersects(const CpuSet& other) const {
+    cpu_set_t both;
+    CPU_AND(&both, &set_, &other.set_);
+    return CPU_COUNT(&both) != 0;
+  }
 
   const cpu_set_t* native() const { return &set_; }
   cpu_set_t* native() { return &set_; }
@@ -50,6 +55,9 @@ common::Status set_current_affinity(const CpuSet& cpus);
 
 /// Affinity mask of the calling thread.
 common::Expected<CpuSet> get_current_affinity();
+
+/// Affinity mask of thread `tid` — for a process id, its main thread.
+common::Expected<CpuSet> get_affinity(int tid);
 
 /// CPU the calling thread is currently executing on.
 CpuId current_cpu();

@@ -15,6 +15,8 @@
 #include "common/rt_logger.hpp"
 #include "fault/injector.hpp"
 #include "lob/flow.hpp"
+#include "rt/cpuset.hpp"
+#include "rt/futex.hpp"
 #include "sched/sharded.hpp"
 
 namespace rtseed::shard {
@@ -30,6 +32,22 @@ void child_term_handler(int) { g_child_term = 1; }
 /// Loops of silence one kHeartbeatStall fire buys (long enough for the
 /// supervisor's full probe → SIGTERM → SIGKILL ladder to engage).
 constexpr u64 kStallLoops = 1u << 20;
+
+/// PAUSEs a child polls its ring for before it parks (DESIGN.md §14.2).
+/// The poll pays only while the poster runs on a CPU of its own: on a
+/// shared CPU it holds the next post off.  The posts come from the
+/// parent process, so its main thread's mask stands for the poster's; a
+/// child whose mask shares a CPU with it (both unpinned, say) parks at
+/// once.
+int child_spin_iters() {
+  if (rt::worker_spin_iters() == 0) return 0;
+  const auto own = rt::get_current_affinity();
+  const auto poster = rt::get_affinity(static_cast<int>(::getppid()));
+  if (!own.has_value() || !poster.has_value() || own->intersects(*poster)) {
+    return 0;
+  }
+  return rt::worker_spin_iters();
+}
 
 }  // namespace
 
@@ -56,10 +74,10 @@ ProcessShardRuntime::create(ProcessRuntimeOptions options) {
         "process shards run UNJOURNALED (no journal_dir / "
         "RTSEED_JOURNAL_DIR): a crash loses that shard's book state");
   }
-  // Children poll briefly and then park on the ring doorbell when their
-  // ingress runs dry (ShardTransport::wait_ingress), so posts must ring
-  // it; and a stale fd from a previous incarnation must not alias this
-  // one's state.
+  // Children park on the ring doorbell when their ingress runs dry
+  // (after a bounded poll where placement allows it, child_spin_iters),
+  // so posts must ring it; and a stale fd from a previous incarnation
+  // must not alias this one's state.
   options.transport.doorbell = true;
   if (options.transport.epoch <= 1) {
     static std::atomic<u64> g_instance{0};
@@ -179,6 +197,12 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
     return n;
   };
 
+  // Only the first wait after a served batch polls: one that timed out
+  // parks again at once, so an idle child does not spin each
+  // drain_slice.  An idle child re-reads the placement instead, so pins
+  // set after the fork take effect.
+  int spin_iters = child_spin_iters();
+  bool served = false;
   u64 stall_loops = 0;
   for (;;) {
     if (g_child_term != 0) {
@@ -218,6 +242,7 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
 
     const u64 before = worker->deltas_applied();
     if (serve_batch() > 0) {
+      served = true;
       // A batch can step over a multiple of digest_publish_every: publish
       // when the count CROSSES one, not only when it lands on it.
       const u64 every = options_.digest_publish_every;
@@ -225,10 +250,14 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
           every != 0 && worker->deltas_applied() / every != before / every;
       worker->publish(control, digest_now);
     } else {
-      // Polls first after a served batch; parks for at most drain_slice,
-      // so the heartbeat and the SIGTERM flag are still seen each slice.
-      (void)transport_->wait_ingress(
-          shard, common::monotonic_now() + options_.drain_slice);
+      // Parks for at most drain_slice, so the heartbeat and the SIGTERM
+      // flag are still seen each slice.
+      const int spin = served ? spin_iters : 0;
+      served = false;
+      if (!transport_->wait_ingress(
+              shard, common::monotonic_now() + options_.drain_slice, spin)) {
+        spin_iters = child_spin_iters();
+      }
     }
   }
 }

@@ -65,9 +65,10 @@ struct FailoverWindow {
 
 struct ProcessRuntimeOptions {
   int num_shards = 2;
-  /// Transport shape.  doorbell is forced on (an idle child parks on it
-  /// after a bounded poll); epoch defaults to the parent pid so a stale
-  /// fd from a previous incarnation cannot alias.
+  /// Transport shape.  doorbell is forced on (an idle child parks on it,
+  /// after a bounded poll when no CPU of its mask is in the parent main
+  /// thread's); epoch defaults to the parent pid so a stale fd from a
+  /// previous incarnation cannot alias.
   TransportOptions transport;
   /// Per-shard worker template; journal_path is derived per shard as
   /// <journal_dir>/shard-<i>.journal (an explicit path is an error —

@@ -38,9 +38,6 @@ Layout compute_layout(int num_shards, const TransportOptions& options) {
   usize off = sizeof(common::SegmentHeader);
   layout.controls = off;
   off += static_cast<usize>(num_shards) * sizeof(ShardControl);
-  // IngressWaiter lines directly after the controls: waiter() finds them
-  // from controls_ without a pointer of its own.
-  off += static_cast<usize>(num_shards) * sizeof(IngressWaiter);
   layout.drops = off;
   off += common::kCacheLine;  // ingress + egress drop words, one line
   layout.pool = off;
@@ -164,10 +161,7 @@ common::Status ShardTransport::map_layout(common::ShmSegment segment,
       reinterpret_cast<std::atomic<common::u64>*>(base + layout.drops);
   egress_drops_ = ingress_drops_ + 1;
   if (format) {
-    for (int s = 0; s < num_shards_; ++s) {
-      new (&controls_[s]) ShardControl();
-      new (waiter(s)) IngressWaiter();
-    }
+    for (int s = 0; s < num_shards_; ++s) new (&controls_[s]) ShardControl();
     new (ingress_drops_) std::atomic<common::u64>(0);
     new (egress_drops_) std::atomic<common::u64>(0);
   }
@@ -213,28 +207,17 @@ void ShardTransport::wake_ring(IndexRing& ring) {
   rt::wake_word_shared(ring.doorbell_word(), 1);
 }
 
-bool ShardTransport::wait_ingress(int shard, Nanos abs_deadline) {
+bool ShardTransport::wait_ingress(int shard, Nanos abs_deadline,
+                                  int spin_iters) {
   IndexRing& ring = ingress_[static_cast<usize>(shard)];
-  IngressWaiter& waiter = *this->waiter(shard);
   if (!ring.empty_approx()) return true;
-  // Poll before parking, once per stretch of served messages: the next
-  // message of a stream usually lands within the spin, and while we poll
-  // the producer sees no parked consumer and skips the wake syscall.
-  if (waiter.spin_armed.load(std::memory_order_relaxed)) {
-    waiter.spin_armed.store(false, std::memory_order_relaxed);
-    waiter.spins.fetch_add(1, std::memory_order_relaxed);
-    for (int spins = rt::worker_spin_iters(); spins > 0; --spins) {
-      rt::cpu_relax();
-      if (!ring.empty_approx()) {
-        waiter.spin_hits.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
+  for (; spin_iters > 0; --spin_iters) {
+    rt::cpu_relax();
+    if (!ring.empty_approx()) return true;
   }
   for (;;) {
     const common::u32 epoch = ring.wait_epoch();
     ring.park();
-    waiter.parks.fetch_add(1, std::memory_order_release);
     if (!ring.empty_approx()) {
       ring.unpark();
       return true;
@@ -246,16 +229,6 @@ bool ShardTransport::wait_ingress(int shard, Nanos abs_deadline) {
     if (!ring.empty_approx()) return true;
     if (common::monotonic_now() >= abs_deadline) return false;
   }
-}
-
-ShardTransport::IngressWaitStats ShardTransport::ingress_wait_stats(
-    int shard) const {
-  const IngressWaiter& waiter = *this->waiter(shard);
-  IngressWaitStats stats;
-  stats.spins = waiter.spins.load(std::memory_order_relaxed);
-  stats.spin_hits = waiter.spin_hits.load(std::memory_order_relaxed);
-  stats.parks = waiter.parks.load(std::memory_order_acquire);
-  return stats;
 }
 
 void ShardTransport::register_metrics(obs::MetricsRegistry* registry) {

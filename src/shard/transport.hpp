@@ -22,7 +22,6 @@
 //
 //   [common::SegmentHeader]   magic/layout/size/epoch + torn-write marker
 //   [ShardControl × S]        per-shard heartbeat & progress words
-//   [IngressWaiter × S]       per-shard consumer wait state + counters
 //   [drop-counter line]       ingress/egress drop totals
 //   [ShmMessagePool region]   header + message cells
 //   [ingress ring 0][egress ring 0][ingress ring 1][egress ring 1]...
@@ -31,17 +30,16 @@
 // the in-process polling runtimes) use the ring doorbells through
 // wait_ingress(): cross-process futex waits with EINTR retry and a
 // bounded absolute deadline — a stray signal (the supervisor's SIGTERM
-// probe, a profiler) can never silently abort a drain loop.  The first
-// wait after the consumer took messages polls the ring for
-// rt::worker_spin_iters() PAUSEs before it parks, so a stream with short
-// gaps is served without a doorbell wake; a wait that timed out parks
-// again at once, so an idle consumer does not spin (DESIGN.md §14.2).
+// probe, a profiler) can never silently abort a drain loop.  A caller
+// may have a wait poll the ring for a bounded number of PAUSEs before it
+// parks, so a stream with short gaps is served without a doorbell wake;
+// when to poll is the caller's call (ProcessShardRuntime's child polls
+// on the first wait after a served batch, DESIGN.md §14.2).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "common/cacheline.hpp"
 #include "common/shm.hpp"
 #include "common/shm_pool.hpp"
 #include "common/shm_ring.hpp"
@@ -93,17 +91,6 @@ struct alignas(common::kCacheLine) ShardControl {
 static_assert(sizeof(ShardControl) == common::kCacheLine,
               "one line per shard: heartbeat polling never falsely shares");
 
-/// One cache line of ingress-wait state per shard, written only by that
-/// shard's consumer (ShardTransport::wait_ingress): whether its next wait
-/// polls before parking, and what its waits did.
-struct alignas(common::kCacheLine) IngressWaiter {
-  std::atomic<bool> spin_armed{false};
-  std::atomic<common::u64> spins{0};
-  std::atomic<common::u64> spin_hits{0};
-  std::atomic<common::u64> parks{0};
-};
-static_assert(sizeof(IngressWaiter) == common::kCacheLine);
-
 struct TransportOptions {
   usize pool_capacity = 4096;  ///< in-flight message cells, all shards
   usize ring_capacity = 1024;  ///< slots per direction per shard (pow2)
@@ -120,7 +107,7 @@ class ShardTransport {
  public:
   /// Layout schema stamped into the segment header; bump when the
   /// on-segment layout changes incompatibly.
-  static constexpr common::u64 kLayoutVersion = 3;
+  static constexpr common::u64 kLayoutVersion = 2;
 
   /// Creates the segment and formats every structure in it.
   static common::Expected<std::unique_ptr<ShardTransport>> create(
@@ -175,9 +162,7 @@ class ShardTransport {
   /// Pops the next ingress message for `shard`; nullptr when empty.  The
   /// consumer reads in place, then release()s.  Wait-free.
   ShardMessage* poll(int shard) {
-    ShardMessage* msg = receive(ingress_[static_cast<usize>(shard)]);
-    if (msg != nullptr) arm_spin(shard);
-    return msg;
+    return receive(ingress_[static_cast<usize>(shard)]);
   }
 
   /// Write-ahead consumer pair: peek_ingress_n() exposes up to N queued
@@ -194,26 +179,14 @@ class ShardTransport {
   }
   void commit_ingress_n(int shard, usize n) {
     ingress_[static_cast<usize>(shard)].commit_pop_n(n);
-    arm_spin(shard);
   }
 
   /// Blocks until `shard`'s ingress ring is non-empty or the absolute
   /// CLOCK_MONOTONIC deadline passes; true when a message is available.
-  /// When the consumer took messages (poll/commit_ingress_n) since
-  /// its previous wait, the ring is first polled for
-  /// rt::worker_spin_iters() PAUSEs; then the consumer parks on the
-  /// doorbell futex (EINTR-retried).  A wait that times out leaves the
-  /// spin disarmed: the next one parks at once.  Consumer side only.
-  bool wait_ingress(int shard, Nanos abs_deadline);
-
-  /// What wait_ingress() did on `shard`: the counters live in the shared
-  /// segment, so the parent reads a worker process's too.
-  struct IngressWaitStats {
-    common::u64 spins = 0;      ///< waits that polled before parking
-    common::u64 spin_hits = 0;  ///< ... and found a message while polling
-    common::u64 parks = 0;      ///< doorbell park() calls
-  };
-  IngressWaitStats ingress_wait_stats(int shard) const;
+  /// Polls the ring for up to `spin_iters` PAUSEs first, then parks on
+  /// the doorbell futex (EINTR-retried).  While it polls, the producer
+  /// sees no parked consumer and rings nothing.  Consumer side only.
+  bool wait_ingress(int shard, Nanos abs_deadline, int spin_iters = 0);
 
   /// Same pair on the egress (shard -> supervisor) direction.
   bool post_result(int shard, ShardMessage* msg) {
@@ -272,19 +245,6 @@ class ShardTransport {
   }
 
   static void wake_ring(IndexRing& ring);
-
-  /// The wait lines sit right after the control lines in the segment.
-  IngressWaiter* waiter(int shard) {
-    return reinterpret_cast<IngressWaiter*>(controls_ + num_shards_) + shard;
-  }
-  const IngressWaiter* waiter(int shard) const {
-    return reinterpret_cast<const IngressWaiter*>(controls_ + num_shards_) +
-           shard;
-  }
-  void arm_spin(int shard) {
-    waiter(shard)->spin_armed.store(true, std::memory_order_relaxed);
-  }
-
 
   const int num_shards_;
   const TransportOptions options_;

@@ -1,6 +1,7 @@
 #include "rt/cpuset.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 namespace rtseed::rt {
 namespace {
@@ -52,6 +53,27 @@ TEST(CpuSet, Equality) {
   EXPECT_TRUE(a == b);
   b.add(2);
   EXPECT_FALSE(a == b);
+}
+
+TEST(CpuSet, Intersects) {
+  CpuSet a, b;
+  a.add(1);
+  a.add(3);
+  b.add(2);
+  EXPECT_FALSE(a.intersects(b));
+  EXPECT_FALSE(a.intersects(CpuSet{}));
+  b.add(3);
+  EXPECT_TRUE(a.intersects(b));
+  EXPECT_TRUE(b.intersects(a));
+}
+
+TEST(Affinity, ProcessIdReadsItsMainThread) {
+  // gtest runs the test body on the main thread, whose id is the pid.
+  const auto own = get_current_affinity();
+  const auto by_pid = get_affinity(static_cast<int>(::getpid()));
+  ASSERT_TRUE(own.has_value());
+  ASSERT_TRUE(by_pid.has_value());
+  EXPECT_TRUE(*own == *by_pid);
 }
 
 TEST(Affinity, SetToEmptyMaskRejected) {
